@@ -17,7 +17,7 @@ the spectral value already saturates the greedy move ordering.)
 from conftest import run_once
 
 from repro.communities import theta
-from repro.core import admissible_c, oca
+from repro.core import OCA, OCAConfig, admissible_c
 from repro.experiments import ascii_table
 from repro.generators import LFRParams, lfr_graph
 
@@ -34,7 +34,7 @@ def test_c_choices(benchmark):
             ("tenth-spectral", spectral / 10),
             ("0.005", 0.005),
         ):
-            result = oca(instance.graph, seed=6, c=c)
+            result = OCA(OCAConfig(c=c)).run(instance.graph, seed=6)
             results[label] = (c, theta(instance.communities, result.cover))
         return results
 

@@ -1,20 +1,20 @@
-"""Dict vs CSR representation across the baseline detectors.
+"""The baseline detectors on the CSR kernels, checked against the oracles.
 
 Times ``lfk`` and ``cfinder`` (plus one ``modularity_greedy`` reference
 row at the smallest size) on the same LFR family and seeds as
-``bench_csr.py``, under both graph representations, and verifies the
-covers are byte-identical — the representation contract extended to the
-whole baseline layer by ISSUE 10.  One extra point runs lfk/cfinder on
-an **overlapping** LFR instance (``on``/``om`` knobs, the paper's
-regime) to pin the contract off the disjoint family too.
+``bench_csr.py``, and checks every cover against the label-keyed
+dict-and-set reference of ``tests/oracles.py`` — the LFK covering loop
+and the union-find clique percolation the CSR kernels replaced — whose
+time is reported alongside.  CNM has no separate oracle; its row checks
+the detector against a direct :func:`~repro.baselines.greedy_modularity`
+call.  One extra point runs lfk/cfinder on an **overlapping** LFR
+instance (``on``/``om`` knobs, the paper's regime).
 
-CFinder rows use ``faithful_overlap=False`` on the dict side: the
-faithful quadratic clique-overlap scan exists to reproduce the
-published cost profile (Figure 5), not to be a fair substrate
-comparison — it is 6x slower again than the indexed dict variant at
-n = 2000 and unusable at n = 6000.  Covers are identical across both
-dict variants and the csr kernel, so the speedups below are measured
-against the *fastest* dict path.
+The CFinder oracle runs the indexed overlap scan
+(``faithful_overlap=False``): the published quadratic scan exists to
+reproduce the Figure 5 cost profile, not to be a fair comparison — it is
+6x slower again at n = 2000 and unusable at n = 6000.  Both scans find
+the identical components.
 
 Also runnable standalone (no pytest)::
 
@@ -42,15 +42,18 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro import DetectionRequest, get_detector
+from repro.baselines import greedy_modularity
 from repro.generators import LFRParams, lfr_graph
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests import oracles  # noqa: E402
 
 #: The bench_csr sizes — the shared perf-trajectory family.
 FULL_SIZES = (2000, 6000, 20000)
 SMOKE_SIZES = (300,)
 
-#: CNM's merge loop is ~100 s per run at n = 6000 (both substrates — the
-#: loop is identical, csr only feeds it), so the reference row runs at
-#: the smallest full size only.
+#: CNM's merge loop is ~100 s per run at n = 6000, so the reference row
+#: runs at the smallest full size only.
 CNM_MAX_SIZE = 2000
 
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_detectors.json"
@@ -79,18 +82,27 @@ def build_params(n: int, on: int = 0, om: int = 2) -> LFRParams:
 
 @dataclass
 class DetectorResult:
-    """One detector's dict-vs-csr measurement on one graph."""
+    """One detector's csr timing and oracle check on one graph."""
 
     n: int
     m: int
     detector: str
     params: Dict[str, Any]
     overlapping_nodes: int
-    dict_seconds: float
     csr_seconds: float
-    speedup: float
+    oracle_seconds: float
+    speedup_vs_oracle: float
     communities: int
     covers_identical: bool
+
+
+def _reference(graph, name: str, params: Dict[str, Any], seed: int):
+    """The detector's cover as the label-keyed reference computes it."""
+    if name == "lfk":
+        return oracles.lfk(graph, seed=seed, **params)
+    if name == "cfinder":
+        return oracles.clique_percolation(graph, k=3, faithful_overlap=False)
+    return greedy_modularity(graph).partition
 
 
 def measure_detector(
@@ -102,35 +114,28 @@ def measure_detector(
     overlapping_nodes: int = 0,
     echo=print,
 ) -> DetectorResult:
-    """Time one detector under both representations, verify the covers."""
+    """Time one detector on the csr kernels and check it against the oracle."""
     detector = get_detector(name)
-    timings = {"dict": [], "csr": []}
-    results = {}
+    request = DetectionRequest(graph=graph, seed=seed, params=dict(params))
+    timings = []
     for _ in range(repeats):
-        for representation in ("dict", "csr"):
-            start = time.perf_counter()
-            result = detector.detect(
-                DetectionRequest(
-                    graph=graph,
-                    seed=seed,
-                    params=dict(params),
-                    representation=representation,
-                )
-            )
-            timings[representation].append(time.perf_counter() - start)
-            results[representation] = result
-    dict_seconds = min(timings["dict"])
-    csr_seconds = min(timings["csr"])
-    identical = results["dict"].cover == results["csr"].cover
-    speedup = dict_seconds / csr_seconds if csr_seconds else float("inf")
+        start = time.perf_counter()
+        result = detector.detect(request)
+        timings.append(time.perf_counter() - start)
+    csr_seconds = min(timings)
+    start = time.perf_counter()
+    reference = _reference(graph, name, params, seed)
+    oracle_seconds = time.perf_counter() - start
+    identical = result.cover == reference
+    speedup = oracle_seconds / csr_seconds if csr_seconds else float("inf")
     echo(
-        f"   {name:18s} dict {dict_seconds:8.3f}s | csr {csr_seconds:7.3f}s "
-        f"| x{speedup:5.2f} | {len(results['csr'].cover)} communities "
-        f"| identical covers: {identical}"
+        f"   {name:18s} csr {csr_seconds:7.3f}s | oracle {oracle_seconds:8.3f}s "
+        f"| x{speedup:5.2f} | {len(result.cover)} communities "
+        f"| cover matches the oracle: {identical}"
     )
     if not identical:
         raise AssertionError(
-            f"representation contract violated: {name} covers differ "
+            f"{name} cover differs from the oracle's "
             f"at n={graph.number_of_nodes()}"
         )
     return DetectorResult(
@@ -139,10 +144,10 @@ def measure_detector(
         detector=name,
         params=dict(params),
         overlapping_nodes=overlapping_nodes,
-        dict_seconds=dict_seconds,
         csr_seconds=csr_seconds,
-        speedup=speedup,
-        communities=len(results["csr"].cover),
+        oracle_seconds=oracle_seconds,
+        speedup_vs_oracle=speedup,
+        communities=len(result.cover),
         covers_identical=identical,
     )
 
@@ -158,14 +163,7 @@ def measure_size(
         measure_detector(
             graph, "lfk", {"alpha": 1.0}, seed, repeats, echo=echo
         ),
-        measure_detector(
-            graph,
-            "cfinder",
-            {"faithful_overlap": False},
-            seed,
-            repeats,
-            echo=echo,
-        ),
+        measure_detector(graph, "cfinder", {}, seed, repeats, echo=echo),
     ]
     if n <= CNM_MAX_SIZE:
         rows.append(
@@ -201,7 +199,7 @@ def measure_overlap_point(
         measure_detector(
             graph,
             "cfinder",
-            {"faithful_overlap": False},
+            {},
             seed,
             repeats,
             overlapping_nodes=instance.overlapping_nodes,
@@ -219,7 +217,7 @@ def run_bench(
 ) -> List[DetectorResult]:
     """Measure every size (and the overlap point); returns all rows."""
     echo(
-        f"baseline-detector representation bench: sizes {list(sizes)}, "
+        f"baseline-detector bench: sizes {list(sizes)}, "
         f"{_available_cpus()} CPU(s), single worker"
     )
     rows: List[DetectorResult] = []
@@ -236,12 +234,10 @@ def write_json(results: List[DetectorResult], path: Path = _JSON_PATH) -> None:
         "benchmark": "bench_detectors",
         "description": (
             "Baseline detectors (lfk, cfinder, modularity_greedy at the "
-            "smallest size), dict vs csr representation, covers verified "
-            "byte-identical; cfinder compared against the indexed dict "
-            "variant (faithful_overlap=False, identical covers) because "
-            "the faithful quadratic scan exists for cost-profile "
-            "fidelity, not comparison; one overlapping-LFR point "
-            "(on/om) rides along"
+            "smallest size) on the csr kernels, covers checked against "
+            "the label-keyed oracles (cfinder against the indexed "
+            "union-find scan); one overlapping-LFR point (on/om) rides "
+            "along"
         ),
         "family": "lfr",
         "python": platform.python_version(),
@@ -256,7 +252,7 @@ def write_json(results: List[DetectorResult], path: Path = _JSON_PATH) -> None:
 # ----------------------------------------------------------------------
 # pytest-benchmark wrapper
 # ----------------------------------------------------------------------
-def test_baseline_representation_speedup(benchmark):
+def test_baseline_speedup_over_oracles(benchmark):
     from conftest import run_once
 
     lines: List[str] = []
@@ -273,7 +269,7 @@ def test_baseline_representation_speedup(benchmark):
     assert all(row.covers_identical for row in results)
     for row in results:
         if row.detector in ("lfk", "cfinder"):
-            assert row.speedup >= 3.0
+            assert row.speedup_vs_oracle >= 3.0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -285,7 +281,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=2)
     parser.add_argument(
-        "--repeats", type=int, default=2, help="timed runs per representation"
+        "--repeats", type=int, default=2, help="timed csr runs per detector"
     )
     parser.add_argument(
         "--sizes",
@@ -313,13 +309,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         for row in results
         if row.n >= 6000
         and row.detector in ("lfk", "cfinder")
-        and row.speedup < 3.0
+        and row.speedup_vs_oracle < 3.0
     ]
     if slow:
         print(
-            "WARNING: csr speedup below 3x at "
+            "WARNING: csr speedup over the oracle below 3x at "
             + ", ".join(
-                f"{row.detector} n={row.n} (x{row.speedup:.2f})"
+                f"{row.detector} n={row.n} (x{row.speedup_vs_oracle:.2f})"
                 for row in slow
             ),
             file=sys.stderr,

@@ -8,7 +8,7 @@ Quantifies the two extensions on the daisy tree:
 
 from conftest import run_once
 
-from repro import oca
+from repro import OCA
 from repro.communities import Cover, theta
 from repro.extensions import (
     hierarchical_oca,
@@ -38,7 +38,7 @@ def test_hierarchy_recovers_flowers(benchmark):
 
 def test_summary_beats_blob_baseline(benchmark):
     instance = daisy_tree(flowers=4, seed=11)
-    cover = oca(instance.graph, seed=11).cover
+    cover = OCA().run(instance.graph, seed=11).cover
 
     def build():
         good = summarize_graph(instance.graph, cover)

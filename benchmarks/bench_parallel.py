@@ -98,7 +98,7 @@ def run_bench(
     batch_size: int = 32,
     echo=print,
 ) -> List[Measurement]:
-    """Run the serial/thread/process comparison and return measurements."""
+    """Run the serial/process comparison and return measurements."""
     cpus = _available_cpus()
     graph = build_graph(family, n, seed)
     echo(
@@ -115,7 +115,6 @@ def run_bench(
 
     runs = [
         measure(graph, seed, c, 1, "serial", batch_size),
-        measure(graph, seed, c, workers, "thread", batch_size),
         measure(graph, seed, c, workers, "process", batch_size),
     ]
     baseline = runs[0]
@@ -149,7 +148,7 @@ def test_process_backend_speedup(benchmark):
     print()
     for line in lines:
         print(line)
-    serial, process = runs[0], runs[2]
+    serial, process = runs
     if _available_cpus() >= 4:
         assert serial.seconds / process.seconds >= 1.5
     else:

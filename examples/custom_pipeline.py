@@ -7,9 +7,11 @@ example wires them together by hand:
 
 1. compute the admissible c spectrally, then inspect the virtual vector
    representation explicitly (small graph!);
-2. grow a single community from a chosen seed and watch the fitness;
-3. run the full driver with a custom configuration (degree-biased
-   seeding, coverage halting, aggressive merging);
+2. grow a single community from a chosen seed and watch the fitness —
+   the climb runs on the compiled CSR form in dense-id space, the one
+   graph representation every kernel uses;
+3. run the full driver, ``OCA(config).run``, with a custom configuration
+   (degree-biased seeding, coverage halting, aggressive merging);
 4. write the cover to disk in the standard exchange format.
 
 Run:  python examples/custom_pipeline.py
@@ -17,7 +19,7 @@ Run:  python examples/custom_pipeline.py
 
 import io
 
-from repro import DetectionRequest, get_detector
+from repro import OCA, compile_graph
 from repro.communities import write_cover
 from repro.core import (
     CoverageHalting,
@@ -46,10 +48,16 @@ def main() -> None:
 
     # --- 2. One greedy local search (Section IV) ---------------------------
     fitness = DirectedLaplacianFitness(c)
-    growth = grow_community(graph, [0], fitness)
-    print(f"growth from node 0: {sorted(growth.members)}")
+    compiled = compile_graph(graph)  # cached on the graph: compiled once
+    seed_id = compiled.id_of(0)
+    growth = grow_community(compiled, [seed_id], fitness)
+    members = sorted(compiled.labels_of(growth.members))
+    print(f"growth from node 0: {members}")
     print(f"  fitness L = {growth.fitness_value:.3f}, "
-          f"{growth.additions} additions, {growth.removals} removals\n")
+          f"{growth.additions} additions, {growth.removals} removals")
+    # Passing the Graph itself compiles and translates at the boundary.
+    assert grow_community(graph, [0], fitness).members == frozenset(members)
+    print()
 
     # --- 3. The full driver with a custom configuration --------------------
     config = OCAConfig(
@@ -58,9 +66,7 @@ def main() -> None:
         merge_threshold=0.5,
         assign_orphans=True,
     )
-    result = get_detector("oca").detect(
-        DetectionRequest(graph=graph, seed=0, params={"config": config})
-    )
+    result = OCA(config).run(graph, seed=0)
     print(f"custom-config OCA: {len(result.cover)} communities "
           f"in {result.runs} runs")
 

@@ -44,7 +44,7 @@ The package implements:
   runs in vectorised integer-id space — and the **experiment harness**
   regenerating every table and figure (:mod:`repro.experiments`);
 * a pluggable **execution engine** (:mod:`repro.engine`) that fans the
-  repeated local searches out over serial/thread/process worker pools
+  repeated local searches out over serial/process worker pools
   with deterministic per-task RNG streams; covers are identical for any
   worker count and backend (``batch_size > 1`` opts into the
   speculative batching that makes the workers useful; the default of 1
@@ -68,8 +68,8 @@ Quickstart::
     with GraphSession(instance.graph) as session:
         covers = [session.detect("oca", seed=s).cover for s in range(10)]
 
-The original entry points ``oca()`` / ``lfk()`` / ``cfinder()`` remain
-as compatibility wrappers with unchanged outputs.
+The algorithm driver with the full configuration surface is
+``OCA(OCAConfig(...)).run(graph, seed=...)``.
 """
 
 from .errors import (
@@ -92,9 +92,9 @@ from .errors import (
 from .graph import CompiledGraph, Graph, compile_graph
 from .communities import Community, Cover, Partition, rho, theta
 from .detection import DetectionRequest, DetectionResult
-from .core import OCA, OCAConfig, OCAResult, oca, admissible_c
+from .core import OCA, OCAConfig, OCAResult, admissible_c
 from .engine import EngineStats, ExecutionEngine, make_backend
-from .baselines import cfinder, lfk, clique_percolation
+from .baselines import clique_percolation
 from .detectors import (
     CommunityDetector,
     GraphSession,
@@ -162,12 +162,9 @@ __all__ = [
     "OCA",
     "OCAConfig",
     "OCAResult",
-    "oca",
     "admissible_c",
     "ExecutionEngine",
     "EngineStats",
     "make_backend",
-    "cfinder",
-    "lfk",
     "clique_percolation",
 ]

@@ -5,11 +5,15 @@
   built on :mod:`~repro.baselines.cliques` (Bron–Kerbosch).
 * :mod:`~repro.baselines.modularity_greedy` — Newman's fast greedy
   partitioning (ref. [11]); the non-overlapping reference point.
+
+Each runs on the compiled CSR form; the registered detectors
+(``get_detector("lfk" | "cfinder" | "cpm" | "modularity_greedy")``) are
+the entry points for whole-graph covers.
 """
 
 from .cliques import maximal_cliques, cliques_at_least, clique_number
-from .cpm import CPMResult, clique_percolation, cfinder
-from .lfk import LFKResult, natural_community, lfk
+from .cpm import CPMResult, clique_percolation
+from .lfk import natural_community
 from .modularity_greedy import GreedyModularityResult, greedy_modularity
 
 __all__ = [
@@ -18,10 +22,7 @@ __all__ = [
     "clique_number",
     "CPMResult",
     "clique_percolation",
-    "cfinder",
-    "LFKResult",
     "natural_community",
-    "lfk",
     "GreedyModularityResult",
     "greedy_modularity",
 ]

@@ -6,18 +6,17 @@ precisely what the paper's Figure 5 exhibits.  This module implements the
 standard pivoted Bron–Kerbosch algorithm (Tomita et al. variant) so the
 clique-percolation baseline is faithful, prohibitive cost included.
 
-Two entry points share one enumeration core:
+The enumeration runs on the compiled CSR form, its sorted rows
+materialised as int sets in one pass through
+:meth:`~repro.graph.csr.CompiledGraph.neighbor_sets`.  Two entry points
+share it:
 
 :func:`maximal_cliques`
-    Label-keyed; runs on any graph backend.  Dict graphs expose their
-    neighbour sets directly; compiled input materialises its sorted CSR
-    rows as int sets in one pass through
-    :meth:`~repro.graph.csr.CompiledGraph.neighbor_sets` — the compiled
-    arrays are the only graph access, so the dict adjacency is never
-    touched.
+    Label-keyed for a :class:`~repro.graph.Graph` (compiled through the
+    graph's cache, cliques translated back to labels); dense ids for a
+    :class:`~repro.graph.csr.CompiledGraph`.
 :func:`maximal_cliques_ids`
-    Dense-id convenience wrapper for compiled graphs: the same
-    enumeration, each clique delivered as a **sorted int32 array** ready
+    Each clique of a compiled graph as a **sorted int32 array**, ready
     for the vectorised percolation kernels in
     :mod:`repro.baselines.cpm`.
 
@@ -25,19 +24,19 @@ Python sets beat per-frame numpy kernels here by a wide margin: the
 recursion frames are tiny (|P| tracks the local clique width, tens of
 nodes), where set intersection runs in a few hundred nanoseconds while
 any ndarray operation pays microseconds of dispatch overhead.  The
-vectorisation win for the CSR path lives downstream, in the
+vectorisation win lives downstream, in the
 clique-*overlap* stage, which is quadratic in the number of cliques
 rather than linear like the enumeration.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Iterator, List
+from typing import FrozenSet, Hashable, Iterator, List, Set
 
 import numpy as np
 
 from ..graph import Graph
-from ..graph.csr import CompiledGraph
+from ..graph.csr import CompiledGraph, compile_graph
 
 __all__ = [
     "maximal_cliques",
@@ -49,8 +48,8 @@ __all__ = [
 Node = Hashable
 
 
-def maximal_cliques(graph: Graph) -> Iterator[FrozenSet[Node]]:
-    """Yield every maximal clique of ``graph`` exactly once.
+def _maximal_id_cliques(compiled: CompiledGraph) -> Iterator[Set[int]]:
+    """Yield every maximal clique of ``compiled`` as a set of ids, once.
 
     Iterative pivoted Bron–Kerbosch: the pivot is chosen as the vertex of
     ``P ∪ X`` with the most neighbours in ``P``, which prunes the search
@@ -58,21 +57,16 @@ def maximal_cliques(graph: Graph) -> Iterator[FrozenSet[Node]]:
     single-node cliques.
     """
     # Iterative formulation to dodge Python's recursion limit on large,
-    # dense instances.  Works on any GraphBackend: dict graphs expose
-    # neighbour *sets* directly (kept live, no copy); compiled graphs
-    # materialise all rows as int sets in one CSR pass.
-    if isinstance(graph, CompiledGraph):
-        adjacency = dict(enumerate(graph.neighbor_sets()))
-    else:
-        adjacency = {node: graph.neighbors(node) for node in graph.nodes()}
+    # dense instances.
+    adjacency = compiled.neighbor_sets()
     stack: List[tuple] = [
-        (set(), set(adjacency), set())
+        (set(), set(range(len(adjacency))), set())
     ]  # frames of (R, P, X)
     while stack:
         r, p, x = stack.pop()
         if not p and not x:
             if r:
-                yield frozenset(r)
+                yield r
             continue
         # Pivot with the largest |N(pivot) ∩ P|.
         pivot = max(p | x, key=lambda node: len(adjacency[node] & p))
@@ -84,16 +78,28 @@ def maximal_cliques(graph: Graph) -> Iterator[FrozenSet[Node]]:
             x = x | {node}
 
 
+def maximal_cliques(graph: Graph) -> Iterator[FrozenSet[Node]]:
+    """Yield every maximal clique of ``graph`` exactly once.
+
+    Labels for a :class:`~repro.graph.Graph`, dense ids for a
+    :class:`~repro.graph.csr.CompiledGraph`.
+    """
+    compiled = compile_graph(graph)
+    for clique in _maximal_id_cliques(compiled):
+        if compiled is not graph:
+            clique = compiled.labels_of(clique)
+        yield frozenset(clique)
+
+
 def maximal_cliques_ids(compiled: CompiledGraph) -> Iterator[np.ndarray]:
     """Yield every maximal clique of a compiled graph as a sorted id array.
 
-    The dense-id entry point the CSR percolation path consumes: the
-    enumeration core of :func:`maximal_cliques` over the compiled
-    graph's rows, each clique packaged as a sorted ``int32`` array so
-    downstream kernels can concatenate, reshape and lexsort them without
-    further conversion.
+    The dense-id entry point the percolation kernel consumes, each
+    clique packaged as a sorted ``int32`` array so downstream kernels
+    can concatenate, reshape and lexsort them without further
+    conversion.
     """
-    for clique in maximal_cliques(compiled):
+    for clique in _maximal_id_cliques(compiled):
         members = np.fromiter(clique, dtype=np.int32, count=len(clique))
         members.sort()
         yield members

@@ -21,16 +21,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from ..communities import Partition
 from ..errors import AlgorithmError
 from ..graph import Graph
-from ..graph.csr import CompiledGraph
+from ..graph.csr import compile_graph
 
 __all__ = ["GreedyModularityResult", "greedy_modularity"]
-
-Node = Hashable
 
 
 @dataclass
@@ -55,37 +53,14 @@ class GreedyModularityResult:
     elapsed_seconds: float
 
 
-def _ranked_edges(graph) -> Iterator[Tuple[int, int]]:
-    """Every edge as an insertion-rank pair ``(i, j)``, ``i < j``, in the
-    canonical scan order: ``i`` ascending, then ``j`` ascending.
-
-    This is exactly the sorted-CSR-row order, reproduced for dict graphs
-    by sorting each (set-backed, arbitrarily ordered) neighbourhood — so
-    the agglomeration below sees identical input, tie-breaks included,
-    on either representation.
-    """
-    if isinstance(graph, CompiledGraph):
-        indptr, indices = graph.indptr, graph.indices
-        for i in range(graph.number_of_nodes()):
-            for j in indices[indptr[i] : indptr[i + 1]].tolist():
-                if j > i:
-                    yield i, j
-    else:
-        index = {node: i for i, node in enumerate(graph.nodes())}
-        for node, i in index.items():
-            for j in sorted(index[neighbour] for neighbour in graph.neighbors(node)):
-                if j > i:
-                    yield i, j
-
-
 def greedy_modularity(graph: Graph) -> GreedyModularityResult:
     """Run CNM greedy modularity maximisation on ``graph``.
 
-    Accepts either representation — the label-keyed
-    :class:`~repro.graph.Graph` or a dense-id
-    :class:`~repro.graph.CompiledGraph` — and agglomerates in insertion-
-    rank space with a canonical edge-scan order, so the resulting
-    partition is identical across representations.
+    The agglomeration runs on the compiled CSR form, in dense-id space
+    with a canonical edge-scan order (row ``i`` ascending, then its
+    sorted neighbours), so ties break the same way on every call.  A
+    :class:`~repro.graph.Graph` gets its partition back in labels; a
+    :class:`~repro.graph.CompiledGraph` gets dense ids.
 
     Raises :class:`AlgorithmError` on edgeless graphs, where modularity
     is undefined.
@@ -95,11 +70,10 @@ def greedy_modularity(graph: Graph) -> GreedyModularityResult:
         raise AlgorithmError("greedy modularity needs at least one edge")
     start = time.perf_counter()
 
-    # Everything below runs in rank space: community ids start as node
-    # ranks, member sets hold ranks, and `order` translates back at the
-    # end (for compiled input ranks *are* the node ids).
-    order: List[Node] = list(graph.nodes())
-    n = len(order)
+    # Everything below runs in id space: community ids start as node
+    # ids and member sets hold ids, translated back at the end.
+    compiled = compile_graph(graph)
+    n = compiled.number_of_nodes()
 
     # Community id -> member rank set; start singleton.
     members: Dict[int, Set[int]] = {i: {i} for i in range(n)}
@@ -108,11 +82,14 @@ def greedy_modularity(graph: Graph) -> GreedyModularityResult:
     # a[i]: fraction of endpoint mass in community i.
     e: Dict[int, Dict[int, float]] = {i: {} for i in members}
     a: Dict[int, float] = {i: 0.0 for i in members}
-    for i, j in _ranked_edges(graph):
-        e[i][j] = e[i].get(j, 0.0) + 1.0 / (2.0 * m)
-        e[j][i] = e[j].get(i, 0.0) + 1.0 / (2.0 * m)
-    for i, node in enumerate(order):
-        a[i] += graph.degree(node) / (2.0 * m)
+    indptr, indices = compiled.indptr, compiled.indices
+    for i in range(n):
+        for j in indices[indptr[i] : indptr[i + 1]].tolist():
+            if j > i:
+                e[i][j] = e[i].get(j, 0.0) + 1.0 / (2.0 * m)
+                e[j][i] = e[j].get(i, 0.0) + 1.0 / (2.0 * m)
+    for i, degree in enumerate(compiled.degrees.tolist()):
+        a[i] += degree / (2.0 * m)
 
     def q_current() -> float:
         total = 0.0
@@ -160,9 +137,10 @@ def greedy_modularity(graph: Graph) -> GreedyModularityResult:
         a[i] += a.pop(j)
         merges += 1
 
-    partition = Partition(
-        (order[rank] for rank in block) for block in members.values()
-    )
+    blocks = members.values()
+    if compiled is not graph:
+        blocks = (compiled.labels_of(block) for block in blocks)
+    partition = Partition(blocks)
     return GreedyModularityResult(
         partition=partition,
         modularity=q_current(),

@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect.add_argument(
         "--backend",
-        choices=["auto", "serial", "thread", "process"],
+        choices=["auto", "serial", "process"],
         default="auto",
         help="execution backend (auto = serial for 1 worker, processes otherwise)",
     )
@@ -120,17 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
             "local searches dispatched per batch; 1 (default) is exactly "
             "the sequential algorithm, a few times --workers enables "
             "speculative parallelism"
-        ),
-    )
-    detect.add_argument(
-        "--representation",
-        choices=["auto", "dict", "csr"],
-        default="auto",
-        help=(
-            "graph representation for the greedy hot path: csr (compiled "
-            "int32 arrays, the fast integer-id kernel), dict (the "
-            "label-keyed adjacency map), or auto (csr whenever the fitness "
-            "allows it); the cover is identical either way"
         ),
     )
     detect.add_argument(
@@ -250,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        choices=["auto", "serial", "thread", "process"],
+        choices=["auto", "serial", "process"],
         default="auto",
         help="execution backend for every session's engine",
     )
@@ -433,7 +422,6 @@ def _command_detect(args: argparse.Namespace) -> int:
         workers=args.workers,
         backend=args.backend,
         batch_size=args.batch_size,
-        representation=args.representation,
         shipping=args.shipping,
         spectral_solver=args.spectral_solver,
     )

@@ -23,23 +23,18 @@ Notes on fidelity to the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Optional, Set, Tuple, Union
+from typing import Hashable, Iterable, Optional, Tuple, Union
 
-from .._rng import SeedLike, as_random
+from .._rng import SeedLike
 from ..errors import AlgorithmError
 from ..graph import Graph
-from ..graph.csr import CompiledGraph
+from ..graph.csr import CompiledGraph, compile_graph
 from .fitness import FitnessFunction
-from .state import ArrayCommunityState, CommunityState
+from .state import ArrayCommunityState
 
 __all__ = ["GrowthResult", "grow_community"]
 
 Node = Hashable
-
-#: Either community-state implementation; the greedy loop is written
-#: against their shared probe/mutation surface and cannot tell them
-#: apart (by design — that is what makes representations bit-identical).
-_State = Union[CommunityState, ArrayCommunityState]
 
 #: Strictness margin for "improvement": floating-point noise below this
 #: threshold does not count, which keeps the search from ping-ponging on
@@ -74,22 +69,21 @@ class GrowthResult:
 
 
 def _best_addition(
-    state: _State, fitness: FitnessFunction, monotone: bool
-) -> Tuple[Optional[Node], float]:
-    """The frontier node whose addition gives the highest fitness.
+    state: ArrayCommunityState, fitness: FitnessFunction, monotone: bool
+) -> Tuple[Optional[int], float]:
+    """The frontier id whose addition gives the highest fitness.
 
-    Fitness functions monotone in ``E_in`` use the state's best-node
-    probe (bucket queue / argmax); anything else falls back to a full
-    frontier scan.
+    Fitness functions monotone in ``E_in`` use the state's argmax probe;
+    anything else scans the whole frontier in ascending id order.
     """
     if monotone:
         node = state.best_frontier_node()
         if node is None:
             return None, float("-inf")
         return node, state.value_if_added(node, fitness)
-    best_node: Optional[Node] = None
+    best_node: Optional[int] = None
     best_value = float("-inf")
-    for node in state.frontier:
+    for node in state.frontier_id_array().tolist():
         value = state.value_if_added(node, fitness)
         if value > best_value:
             best_value = value
@@ -98,23 +92,23 @@ def _best_addition(
 
 
 def _best_removal(
-    state: _State, fitness: FitnessFunction, monotone: bool
-) -> Tuple[Optional[Node], float]:
-    """The member whose removal gives the highest fitness.
+    state: ArrayCommunityState, fitness: FitnessFunction, monotone: bool
+) -> Tuple[Optional[int], float]:
+    """The member id whose removal gives the highest fitness.
 
     Symmetric to :func:`_best_addition`: for monotone fitness the optimal
     removal is the member with the fewest internal links.
     """
-    best_value = float("-inf")
     if state.size <= 1:
-        return None, best_value
+        return None, float("-inf")
     if monotone:
         node = state.weakest_member()
         if node is None:
-            return None, best_value
+            return None, float("-inf")
         return node, state.value_if_removed(node, fitness)
-    best_node: Optional[Node] = None
-    for node in state.members:
+    best_node: Optional[int] = None
+    best_value = float("-inf")
+    for node in state.member_id_array().tolist():
         value = state.value_if_removed(node, fitness)
         if value > best_value:
             best_value = value
@@ -129,20 +123,18 @@ def grow_community(
     max_steps: Optional[int] = None,
     allow_removal: bool = True,
     seed: SeedLike = None,
-    rank: Optional[Dict[Node, int]] = None,
 ) -> GrowthResult:
     """Run the greedy add/remove search to a local fitness maximum.
 
     Parameters
     ----------
     graph:
-        Host graph.  A label-keyed :class:`~repro.graph.Graph` (or any
-        read-only view) runs on :class:`~repro.core.state.CommunityState`;
-        a :class:`~repro.graph.csr.CompiledGraph` runs the same loop on
-        the vectorised :class:`~repro.core.state.ArrayCommunityState`,
-        with ``initial_members`` (and the returned ``members``) being
-        dense integer ids.  Both produce the identical community for
-        corresponding inputs.
+        Host graph.  A :class:`~repro.graph.csr.CompiledGraph` runs in
+        dense-id space: ``initial_members`` and the returned ``members``
+        are ids.  A label-keyed :class:`~repro.graph.Graph` (or any
+        read-only view) is compiled through the cached
+        :func:`~repro.graph.csr.compile_graph` and translated at the
+        boundary, so members are labels in and out.
     initial_members:
         Non-empty starting set (the "random neighbourhood of the seed").
     fitness:
@@ -156,11 +148,6 @@ def grow_community(
         Unused by the deterministic argmax, but accepted so call sites can
         treat all stochastic components uniformly; reserved for future
         stochastic tie-breaking.
-    rank:
-        Optional precomputed node -> insertion-rank map for the
-        label-keyed path's tie-breaking (derived from the graph when
-        omitted); ignored on the compiled path, where ids are their own
-        ranks.
 
     Returns
     -------
@@ -170,10 +157,10 @@ def grow_community(
     members = set(initial_members)
     if not members:
         raise AlgorithmError("greedy growth needs a non-empty initial set")
-    if isinstance(graph, CompiledGraph):
-        state: _State = ArrayCommunityState(graph, members)
-    else:
-        state = CommunityState(graph, members, rank=rank)
+    compiled = compile_graph(graph)
+    if compiled is not graph:
+        members = compiled.ids_of(members)
+    state = ArrayCommunityState(compiled, members)
     if max_steps is None:
         max_steps = 4 * graph.number_of_nodes() + 16
     current = state.value(fitness)
@@ -200,8 +187,11 @@ def grow_community(
             removals += 1
         current = best_value
         steps += 1
+    members = state.members
+    if compiled is not graph:
+        members = compiled.labels_of(members)
     return GrowthResult(
-        members=frozenset(state.members),
+        members=frozenset(members),
         fitness_value=current,
         steps=steps,
         additions=additions,

@@ -11,8 +11,8 @@ API normalises all of them behind two small value types:
     What to run on: a graph (mutable :class:`~repro.graph.Graph` or
     immutable :class:`~repro.graph.CompiledGraph`), a seed, a free-form
     ``params`` mapping forwarded to the algorithm, and the execution
-    knobs (``workers`` / ``backend`` / ``batch_size`` /
-    ``representation``) for algorithms that support them.
+    knobs (``workers`` / ``backend`` / ``batch_size`` / ``shipping``)
+    for algorithms that support them.
 
 :class:`DetectionResult`
     What every algorithm hands back: the cover, a ``stats`` mapping of
@@ -31,7 +31,6 @@ algorithm modules can import it without cycles.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -67,17 +66,12 @@ class DetectionRequest:
         ``k`` for CPM, any :class:`~repro.core.config.OCAConfig` field —
         or a full ``config`` object — for OCA).  Echoed back on the
         result.
-    workers / backend / batch_size / representation / shipping:
-        Execution knobs.  ``representation`` (``auto`` / ``dict`` /
-        ``csr``) is honoured by **every** built-in detector — ``csr``
-        runs the algorithm's vectorised dense-id kernels on the compiled
-        CSR arrays, and never changes the cover.  The engine knobs
-        proper (``workers`` / ``backend`` / ``batch_size`` /
-        ``shipping``) apply to algorithms on the parallel execution
-        engine (currently OCA) and are ignored by the inherently
-        sequential baselines.  ``shipping`` picks how the compiled graph
-        reaches process workers (``auto`` / ``shm`` / ``pickle``); like
-        ``workers`` it never changes the cover.
+    workers / backend / batch_size / shipping:
+        Execution knobs for algorithms on the parallel execution engine
+        (currently OCA); the inherently sequential baselines ignore
+        them.  ``shipping`` picks how the compiled graph reaches process
+        workers (``auto`` / ``shm`` / ``pickle``); like ``workers`` it
+        never changes the cover.
     engine:
         Optional pre-built :class:`~repro.engine.ExecutionEngine` that
         the algorithm should run on instead of constructing its own —
@@ -95,7 +89,6 @@ class DetectionRequest:
     workers: int = 1
     backend: str = "auto"
     batch_size: Optional[int] = None
-    representation: str = "auto"
     shipping: str = "auto"
     engine: Optional[Any] = None
 
@@ -163,20 +156,3 @@ def translate_cover(cover: Cover, source: Optional[CompiledGraph]) -> Cover:
         return cover
     return Cover(source.labels_of(community) for community in cover)
 
-
-def _warn_legacy(name: str, replacement: str) -> None:
-    """Emit the compat-wrapper deprecation, attributed to the caller.
-
-    ``stacklevel=3`` skips this helper and the wrapper itself, so the
-    warning lands on the module that called the wrapper.  The tier-1
-    pytest configuration escalates DeprecationWarnings originating from
-    ``repro.*`` into errors, which is what keeps internal code off the
-    legacy entry points; external callers see a default-ignored
-    DeprecationWarning.
-    """
-    warnings.warn(
-        f"{name} is a legacy compatibility wrapper; use {replacement} "
-        "(see the Detector API section of the README)",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -7,24 +7,18 @@ Each class adapts one algorithm to the uniform
 * ``oca`` — the paper's algorithm, on the parallel execution engine;
 * ``lfk`` — local fitness optimisation (ref. [8]);
 * ``cfinder`` — k-clique percolation with the paper's parameterisation
-  (``k = 3``, faithful quadratic clique-overlap discovery);
-* ``cpm`` — the same percolation with the full parameter surface
-  (``k``, ``faithful_overlap``) exposed;
+  (``k = 3``);
+* ``cpm`` — the same percolation with ``k`` exposed;
 * ``modularity_greedy`` — Newman's CNM agglomeration, the disjoint
   reference point.
 
-All five accept either graph form — covers from compiled input are
-translated back to original labels and are byte-identical to what the
-legacy entry points return for the same seed — and every one honours the
-request's ``representation`` knob (``auto`` / ``dict`` / ``csr``):
-``csr`` runs the algorithm's dense-id kernels on the compiled CSR
-arrays (compiling the graph if the request carried the dict form),
-``dict`` forces the label-keyed path, and ``auto`` picks the detector's
-preferred representation.  Covers are byte-identical across
-representations for every detector; the resolved choice is reported in
-``stats["representation"]``.  The shared plumbing (normalisation,
-translation, echo, timing) lives in :class:`DetectorBase`; new
-algorithms subclass it, implement ``_detect`` and register with
+All five accept either graph form and run their dense-id kernels on the
+compiled CSR arrays (compiling a :class:`~repro.graph.Graph` through its
+cache); covers from compiled input are translated back to original
+labels and are byte-identical to those from the graph itself.  The
+shared plumbing (normalisation, translation, echo, timing) lives in
+:class:`DetectorBase`; new algorithms subclass it, implement
+``_detect`` and register with
 :func:`~repro.detectors.register_detector`.
 """
 
@@ -32,10 +26,10 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
-from ..baselines.cpm import _percolate_ids, clique_percolation
-from ..baselines.lfk import _lfk, _lfk_compiled
+from ..baselines.cpm import _percolate_ids
+from ..baselines.lfk import _lfk_compiled
 from ..baselines.modularity_greedy import greedy_modularity
 from ..communities import Cover, Partition
 from ..core.config import OCAConfig
@@ -46,7 +40,7 @@ from ..detection import (
     normalized_graph,
     translate_cover,
 )
-from ..errors import AlgorithmError, ConfigurationError
+from ..errors import AlgorithmError
 from ..graph.csr import CompiledGraph, compile_graph
 from .registry import register_detector
 
@@ -78,12 +72,6 @@ class DetectorBase:
 
     name: str = ""
 
-    #: Representations the algorithm supports, preferred first;
-    #: ``request.representation == "auto"`` resolves to the head.  Every
-    #: built-in supports both — ``csr`` is the hot path the serving
-    #: layer's warm/store-loaded sessions run on.
-    representations: Tuple[str, ...] = ("csr", "dict")
-
     def detect(self, request: DetectionRequest) -> DetectionResult:
         start = time.perf_counter()
         run_graph, source = normalized_graph(request.graph)
@@ -110,25 +98,6 @@ class DetectorBase:
                 f"unknown parameter(s) for {self.name!r}: {unknown}"
             )
 
-    # -- representation dispatch ---------------------------------------
-    def _resolve_representation(self, request: DetectionRequest) -> str:
-        """The concrete representation this call runs on.
-
-        Mirrors ``OCAConfig.representation`` semantics: ``auto`` picks
-        the detector's preferred form, anything else must be a supported
-        explicit choice.
-        """
-        representation = request.representation
-        if representation == "auto":
-            return self.representations[0]
-        if representation not in self.representations:
-            supported = ", ".join(("auto",) + self.representations)
-            raise ConfigurationError(
-                f"unknown representation {representation!r} for "
-                f"{self.name!r} (choose one of: {supported})"
-            )
-        return representation
-
     @staticmethod
     def _cover_from_ids(compiled: CompiledGraph, communities) -> Cover:
         """A dense-id community list as a cover in ``compiled``'s label
@@ -147,15 +116,11 @@ class OCADetector(DetectorBase):
     ``params`` accepts any :class:`~repro.core.config.OCAConfig` field,
     or a complete config object under the key ``config``.  The request's
     engine knobs (``workers`` / ``backend`` / ``batch_size`` /
-    ``representation`` / ``shipping``) seed the config defaults; a supplied
+    ``shipping``) seed the config defaults; a supplied
     ``request.engine`` (the session's persistent pool) is used only when
     it matches the resolved config's engine knobs — a mismatch (e.g. a
     per-call ``batch_size`` override) falls back to an ephemeral engine
     so the config, which determines the cover, always wins.
-
-    Representation resolution is delegated to the config (the CSR greedy
-    kernel is exact only for fitness functions monotone in ``E_in``, so
-    ``auto`` is per-fitness there).
     """
 
     name = "oca"
@@ -178,7 +143,6 @@ class OCADetector(DetectorBase):
                 "workers": request.workers,
                 "backend": request.backend,
                 "batch_size": request.batch_size,
-                "representation": request.representation,
                 "shipping": request.shipping,
             }
             merged.update(params)
@@ -194,11 +158,8 @@ class LFKDetector(DetectorBase):
     """LFK local fitness optimisation (inherently sequential).
 
     ``params``: ``alpha`` (resolution, default 1.0) and
-    ``max_steps_per_community``.  ``representation`` selects the scan
-    implementation — ``csr`` (the ``auto`` default) runs the vectorised
-    dense-id kernels of :mod:`repro.baselines.lfk`, ``dict`` the
-    label-keyed original; covers are byte-identical either way.  The
-    remaining engine knobs are ignored.
+    ``max_steps_per_community``.  Runs the vectorised dense-id kernels
+    of :mod:`repro.baselines.lfk`; the engine knobs are ignored.
     """
 
     name = "lfk"
@@ -208,36 +169,16 @@ class LFKDetector(DetectorBase):
         alpha = _take(params, "alpha", 1.0)
         max_steps = _take(params, "max_steps_per_community", None)
         self._reject_unknown(params)
-        representation = self._resolve_representation(request)
-        if representation == "csr":
-            compiled = compile_graph(graph)
-            communities, computed = _lfk_compiled(
-                compiled,
-                alpha=alpha,
-                seed=request.seed,
-                max_steps_per_community=max_steps,
-            )
-            return DetectionResult(
-                cover=self._cover_from_ids(compiled, communities),
-                stats={
-                    "alpha": alpha,
-                    "natural_communities": computed,
-                    "representation": representation,
-                },
-            )
-        outcome = _lfk(
-            graph,
+        compiled = compile_graph(graph)
+        communities, computed = _lfk_compiled(
+            compiled,
             alpha=alpha,
             seed=request.seed,
             max_steps_per_community=max_steps,
         )
         return DetectionResult(
-            cover=outcome.cover,
-            stats={
-                "alpha": outcome.alpha,
-                "natural_communities": outcome.natural_communities,
-                "representation": representation,
-            },
+            cover=self._cover_from_ids(compiled, communities),
+            stats={"alpha": alpha, "natural_communities": computed},
         )
 
 
@@ -245,14 +186,10 @@ class LFKDetector(DetectorBase):
 class CPMDetector(DetectorBase):
     """k-clique percolation with the full parameter surface.
 
-    ``params``: ``k`` (default 3) and ``faithful_overlap`` (default
-    ``True``, the published quadratic clique-overlap scan).  The seed is
-    ignored — percolation is deterministic.  ``representation`` selects
-    the percolation substrate: ``csr`` (the ``auto`` default) feeds
-    Bron–Kerbosch from the compiled rows and resolves clique adjacency
-    with the vectorised subset-grouping kernel, ``dict`` runs the
-    Python-set original (where ``faithful_overlap`` picks the published
-    quadratic scan); covers are identical either way.
+    ``params``: ``k`` (default 3).  The seed is ignored — percolation is
+    deterministic.  Bron–Kerbosch runs on the compiled rows and clique
+    adjacency is resolved with the vectorised subset-grouping kernel of
+    :mod:`repro.baselines.cpm`.
     """
 
     name = "cpm"
@@ -260,30 +197,12 @@ class CPMDetector(DetectorBase):
     def _detect(self, graph, request: DetectionRequest) -> DetectionResult:
         params = dict(request.params)
         k = _take(params, "k", 3)
-        faithful = _take(params, "faithful_overlap", True)
         self._reject_unknown(params)
-        representation = self._resolve_representation(request)
-        if representation == "csr":
-            compiled = compile_graph(graph)
-            communities, clique_count = _percolate_ids(
-                compiled, k=k, faithful_overlap=faithful
-            )
-            return DetectionResult(
-                cover=self._cover_from_ids(compiled, communities),
-                stats={
-                    "k": k,
-                    "maximal_cliques": clique_count,
-                    "representation": representation,
-                },
-            )
-        outcome = clique_percolation(graph, k=k, faithful_overlap=faithful)
+        compiled = compile_graph(graph)
+        communities, clique_count = _percolate_ids(compiled, k=k)
         return DetectionResult(
-            cover=outcome.cover,
-            stats={
-                "k": outcome.k,
-                "maximal_cliques": outcome.maximal_cliques,
-                "representation": representation,
-            },
+            cover=self._cover_from_ids(compiled, communities),
+            stats={"k": k, "maximal_cliques": clique_count},
         )
 
 
@@ -304,10 +223,8 @@ class ModularityGreedyDetector(DetectorBase):
     """Newman's CNM greedy agglomeration — the disjoint reference point.
 
     ``params``: none.  The seed is ignored — the agglomeration is
-    deterministic (canonical rank-space tie-breaking).  Both
-    representations run the same rank-space merge loop, ``csr`` merely
-    feeding it the compiled rows, so the partition is identical either
-    way.  The cover is a :class:`~repro.communities.Partition`: a node
+    deterministic (canonical id-space tie-breaking on the compiled
+    rows).  The cover is a :class:`~repro.communities.Partition`: a node
     belongs to exactly one block, which is the structural limitation the
     paper's overlapping algorithms move beyond.
     """
@@ -316,22 +233,12 @@ class ModularityGreedyDetector(DetectorBase):
 
     def _detect(self, graph, request: DetectionRequest) -> DetectionResult:
         self._reject_unknown(dict(request.params))
-        representation = self._resolve_representation(request)
-        run_graph = compile_graph(graph) if representation == "csr" else graph
-        outcome = greedy_modularity(run_graph)
+        compiled = compile_graph(graph)
+        outcome = greedy_modularity(compiled)
         cover = outcome.partition
-        if (
-            isinstance(run_graph, CompiledGraph)
-            and not run_graph.identity_labels
-        ):
-            cover = Partition(
-                run_graph.labels_of(block) for block in cover
-            )
+        if not compiled.identity_labels:
+            cover = Partition(compiled.labels_of(block) for block in cover)
         return DetectionResult(
             cover=cover,
-            stats={
-                "modularity": outcome.modularity,
-                "merges": outcome.merges,
-                "representation": representation,
-            },
+            stats={"modularity": outcome.modularity, "merges": outcome.merges},
         )

@@ -5,7 +5,7 @@ grow a community to a local fitness maximum — so this package splits it
 into a sequential control plane (scheduling and reduction) and a
 parallel data plane (growth tasks on a worker pool):
 
-* :mod:`~repro.engine.backends` — ``serial`` / ``thread`` / ``process``
+* :mod:`~repro.engine.backends` — ``serial`` / ``process``
   worker pools behind one :class:`~repro.engine.backends.ExecutionBackend`
   protocol, plus a registry for custom pools.
 * :mod:`~repro.engine.tasks` — the picklable task, result, and
@@ -20,15 +20,14 @@ parallel data plane (growth tasks on a worker pool):
 
 Determinism: per-task RNG streams are keyed by a master seed and the
 global task index (:func:`repro._rng.derive_seed`), and results fold in
-task order — so ``oca(g, seed=7, workers=8)`` returns the same cover as
-``workers=1``, on any backend.
+task order — so ``OCA(OCAConfig(workers=8)).run(g, seed=7)`` returns the
+same cover as ``workers=1``, on any backend.
 """
 
 from .backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     make_backend,
     register_backend,
@@ -42,7 +41,6 @@ from .tasks import GrowthTask, GrowthTaskResult, WorkerContext, execute_growth_t
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "available_backends",
     "make_backend",

@@ -1,13 +1,9 @@
 """Execution backends: where a batch of tasks actually runs.
 
-One protocol, three implementations:
+One protocol, two implementations:
 
 ``SerialBackend``
     In-process loop; zero overhead, the reference semantics.
-``ThreadBackend``
-    ``ThreadPoolExecutor``; useful when the task releases the GIL (I/O,
-    future native kernels) and as a cheap way to exercise concurrent
-    scheduling in tests.
 ``ProcessBackend``
     ``ProcessPoolExecutor`` with a per-worker initializer carrying the
     shared context; the backend that buys real speedup for the pure
@@ -22,7 +18,7 @@ a cluster RPC pool) can be registered with :func:`register_backend`.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, TypeVar
 
 from ..errors import ConfigurationError
@@ -30,7 +26,6 @@ from ..errors import ConfigurationError
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "make_backend",
     "register_backend",
@@ -48,7 +43,7 @@ class ExecutionBackend(Protocol):
     Attributes
     ----------
     name:
-        Registry name (``serial`` / ``thread`` / ``process`` / custom).
+        Registry name (``serial`` / ``process`` / custom).
     workers:
         Concurrency the backend was sized for (1 for serial).
     uses_processes:
@@ -133,11 +128,11 @@ class SerialBackend:
         pass
 
 
-class _PoolBackend:
-    """Shared executor lifecycle for the thread and process backends."""
+class ProcessBackend:
+    """A process pool; the initializer ships shared context once per worker."""
 
-    name = "pool"
-    uses_processes = False
+    name = "process"
+    uses_processes = True
 
     def __init__(
         self,
@@ -152,12 +147,13 @@ class _PoolBackend:
         self._initargs = initargs
         self._executor = None
 
-    def _make_executor(self):
-        raise NotImplementedError
-
     def _ensure(self):
         if self._executor is None:
-            self._executor = self._make_executor()
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=self._initializer,
+                initargs=self._initargs,
+            )
         return self._executor
 
     def map_ordered(
@@ -181,7 +177,7 @@ class _PoolBackend:
             return []
         executor = self._ensure()
         # Each chunk is one map item -> one future, one executor
-        # dispatch, one (for processes) pickle round-trip per chunk.
+        # dispatch, one pickle round-trip per chunk.
         chunks = _chunk(items, chunk_size)
         results: List[ResultT] = []
         for chunk_results in executor.map(fn, chunks):
@@ -200,49 +196,9 @@ class _PoolBackend:
         self.close()
 
 
-class ThreadBackend(_PoolBackend):
-    """A thread pool; concurrency without pickling requirements."""
-
-    name = "thread"
-
-    def _make_executor(self):
-        executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-engine"
-        )
-        # ThreadPoolExecutor's own initializer hook runs per thread; for
-        # shared in-process context once is enough and always safe.
-        if self._initializer is not None:
-            self._initializer(*self._initargs)
-        return executor
-
-    def map_ordered(
-        self, fn: Callable[[ItemT], ResultT], items: Sequence[ItemT]
-    ) -> List[ResultT]:
-        items = list(items)
-        if not items:
-            return []
-        executor = self._ensure()
-        return list(executor.map(fn, items))
-
-
-class ProcessBackend(_PoolBackend):
-    """A process pool; the initializer ships shared context once per worker."""
-
-    name = "process"
-    uses_processes = True
-
-    def _make_executor(self):
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=self._initializer,
-            initargs=self._initargs,
-        )
-
-
 #: Registered backend factories, keyed by name.
 _BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 
@@ -273,7 +229,7 @@ def make_backend(
     initializer: Optional[Callable[..., None]] = None,
     initargs: Tuple = (),
 ) -> ExecutionBackend:
-    """Instantiate a backend by name (``auto``/``serial``/``thread``/``process``).
+    """Instantiate a backend by name (``auto``/``serial``/``process``).
 
     ``auto`` picks ``serial`` for one worker and ``process`` otherwise.
     ``workers`` may be 0 to mean "one per CPU".

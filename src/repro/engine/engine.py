@@ -33,7 +33,7 @@ from ..core.halting import HaltingCriterion, RunStatistics
 from ..core.seeding import SeedingStrategy
 from ..errors import ConfigurationError
 from ..graph import Graph
-from ..graph.csr import CompiledGraph
+from ..graph.csr import CompiledGraph, compile_graph
 from ..graph.shm import SharedGraphSegments, export_shared, shm_available
 from .backends import make_backend, resolve_backend_name
 from .progress import BatchRecord, EngineStats, ProgressCallback
@@ -43,7 +43,6 @@ from .tasks import (
     WorkerContext,
     execute_batch_in_worker,
     execute_growth_task,
-    execute_in_worker,
     initialize_worker,
 )
 
@@ -92,7 +91,7 @@ class ExecutionEngine:
     ----------
     backend:
         ``auto`` (serial for one worker, processes otherwise),
-        ``serial``, ``thread``, ``process``, or a registered custom name.
+        ``serial``, ``process``, or a registered custom name.
     workers:
         Pool size; 0 means one per CPU.
     batch_size:
@@ -150,15 +149,14 @@ class ExecutionEngine:
     ) -> bool:
         """Whether a pool initialised with ``cached`` can run ``context``.
 
-        Graph forms must be the *same object* (workers hold a shipped
-        copy of exactly that structure); fitness and step budget compare
-        by value (the fitness classes are frozen dataclasses).
+        The compiled graph must be the *same object* (workers hold a
+        shipped copy of exactly that structure); fitness and step budget
+        compare by value (the fitness classes are frozen dataclasses).
         """
         if cached is None:
             return False
         return (
             cached.compiled is context.compiled
-            and cached.graph is context.graph
             and cached.fitness == context.fitness
             and cached.max_growth_steps == context.max_growth_steps
         )
@@ -179,22 +177,14 @@ class ExecutionEngine:
         """
         self._close_hooks.append(hook)
 
-    def _resolve_shipping(self, backend_name: str, compiled) -> str:
+    def _resolve_shipping(self, backend_name: str) -> str:
         """Decide how this run's context crosses the worker boundary.
 
-        Only a process backend with a compiled graph has anything to
-        ship zero-copy; everything else is ``inline`` (no boundary) or
-        ``pickle`` (dict graphs have no array segments to export).
+        Only a process backend has anything to ship; everything else is
+        ``inline`` (no boundary).
         """
         if backend_name != "process":
             return "inline"
-        if compiled is None:
-            if self.shipping == "shm":
-                raise ConfigurationError(
-                    "shipping='shm' requires the csr representation "
-                    "(the dict graph has no compiled arrays to export)"
-                )
-            return "pickle"
         if self.shipping == "pickle":
             return "pickle"
         if self.shipping == "shm":
@@ -261,13 +251,12 @@ class ExecutionEngine:
         return identical outcomes regardless of ``workers`` and
         ``backend``.
 
-        ``compiled`` switches the growth kernel to the CSR integer-id
-        hot path: workers receive the compiled arrays (once, via the
-        pool initializer) instead of the dict graph, and translate task
-        node sets between labels and dense ids at their boundary.  The
-        scheduler, reducer, and this driver stay entirely in label
-        space, and the outcome is bit-identical either way — the
-        representation, like the backend, only changes wall-clock time.
+        ``compiled`` is the CSR form of ``graph`` the growth kernel runs
+        on (compiled here, through the graph's cache, when omitted):
+        workers receive the arrays once, via the pool initializer, and
+        translate task node sets between labels and dense ids at their
+        boundary.  The scheduler, reducer, and this driver stay entirely
+        in label space.
         """
         # Fingerprint first — as_master_seed is non-consuming, so the
         # shared generator's draw sequence is untouched.
@@ -287,22 +276,13 @@ class ExecutionEngine:
             halting=halting,
             skip_stale_seeds=getattr(seeding, "covered_aware", False),
         )
-        if compiled is not None:
-            # csr: ship only the immutable arrays; ids rank themselves.
-            context = WorkerContext(
-                fitness=fitness,
-                max_growth_steps=max_growth_steps,
-                compiled=compiled,
-            )
-        else:
-            # dict: ship the graph plus one shared tie-break rank map so
-            # workers do not pay O(n) per task to rebuild it.
-            context = WorkerContext(
-                fitness=fitness,
-                max_growth_steps=max_growth_steps,
-                graph=graph,
-                rank={node: i for i, node in enumerate(graph.nodes())},
-            )
+        if compiled is None:
+            compiled = compile_graph(graph)
+        context = WorkerContext(
+            fitness=fitness,
+            max_growth_steps=max_growth_steps,
+            compiled=compiled,
+        )
         reused = False
         segments: Optional[SharedGraphSegments] = None
         if self.persistent and self._context_compatible(self._pool_context, context):
@@ -316,7 +296,7 @@ class ExecutionEngine:
             self.close()  # drop an incompatible persistent pool, if any
             effective_workers = self.workers or os.cpu_count() or 1
             shipping = self._resolve_shipping(
-                resolve_backend_name(self.backend, effective_workers), compiled
+                resolve_backend_name(self.backend, effective_workers)
             )
             if shipping == "shm":
                 # Export once; workers attach by name in O(1).  The
@@ -340,7 +320,6 @@ class ExecutionEngine:
             backend=resolve_backend_name(self.backend, backend.workers),
             workers=backend.workers,
             batch_size=self.batch_size,
-            representation="csr" if compiled is not None else "dict",
             shipping=shipping,
             pool_reused=reused,
         )
@@ -348,7 +327,6 @@ class ExecutionEngine:
         # (and, for processes, one pickle round-trip) amortised over
         # ~batch/(2*workers) tasks.  Chunking is pure plumbing — results
         # flatten back in task order, so covers cannot depend on it.
-        batched = getattr(backend, "map_ordered_batched", None)
         calls = [0]  # worker calls made by the most recent run_batch
         if backend.uses_processes:
             chunk_fn = execute_batch_in_worker
@@ -357,26 +335,10 @@ class ExecutionEngine:
             def chunk_fn(chunk_tasks):
                 return [execute_growth_task(context, task) for task in chunk_tasks]
 
-        if batched is not None:
-
-            def run_batch(tasks):
-                chunk = max(1, -(-len(tasks) // (max(1, backend.workers) * 2)))
-                calls[0] = -(-len(tasks) // chunk)
-                return batched(chunk_fn, tasks, chunk)
-
-        elif backend.uses_processes:
-            # Registered custom backends may predate the batched path.
-            def run_batch(tasks):
-                calls[0] = len(tasks)
-                return backend.map_ordered(execute_in_worker, tasks)
-
-        else:
-
-            def run_batch(tasks):
-                calls[0] = len(tasks)
-                return backend.map_ordered(
-                    lambda task: execute_growth_task(context, task), tasks
-                )
+        def run_batch(tasks):
+            chunk = max(1, -(-len(tasks) // (max(1, backend.workers) * 2)))
+            calls[0] = -(-len(tasks) // chunk)
+            return backend.map_ordered_batched(chunk_fn, tasks, chunk)
 
         try:
             while not reducer.should_stop():

@@ -46,14 +46,14 @@ class EngineStats:
 
     Attributes
     ----------
-    backend / workers / batch_size / representation:
+    backend / workers / batch_size:
         The execution configuration actually used (after ``auto``
         resolution and defaulting).
     shipping:
         How the shared worker context crossed the process boundary:
         ``shm`` (zero-copy shared-memory segments), ``pickle``
         (serialised through the pool initializer), or ``inline`` (no
-        boundary — serial/thread backends share the driver's objects).
+        boundary — the serial backend shares the driver's objects).
     worker_calls:
         Executor dispatches actually made; with chunked execution this
         is the number of grouped worker calls, not the task count.
@@ -77,7 +77,6 @@ class EngineStats:
     backend: str = "serial"
     workers: int = 1
     batch_size: int = 1
-    representation: str = "dict"
     shipping: str = "inline"
     pool_reused: bool = False
     batches: int = 0
@@ -112,7 +111,7 @@ class EngineStats:
         """One-line human summary (used by the CLI and benchmarks)."""
         return (
             f"engine[{self.backend} x{self.workers}, batch={self.batch_size}, "
-            f"{self.representation}, ship={self.shipping}]: "
+            f"ship={self.shipping}]: "
             f"{self.batches} batches, {self.tasks_dispatched} tasks "
             f"({self.tasks_discarded} discarded), "
             f"dispatch {self.dispatch_seconds:.3f}s, "

@@ -8,15 +8,14 @@ fully deterministic, so a task is a pure value: any worker, in any
 process, at any time produces the same result from it.
 
 Tasks stay small (an index, a node, the initial set, an integer stream
-seed); the heavy shared state — the graph and the fitness function —
-travels once per worker inside a :class:`WorkerContext` via the pool
-initializer.  Under the ``csr`` representation the context carries the
-:class:`~repro.graph.csr.CompiledGraph` *instead of* the dict graph:
-three int32 numpy arrays that pickle as raw buffers, a fraction of the
-adjacency map's payload.  Tasks arrive in label space (the scheduler's
-language), are translated to dense ids at the worker boundary, and
-results are translated back, so everything outside the kernel — the
-scheduler, the reducer, dedup, covers — is representation-blind.
+seed); the heavy shared state — the compiled graph and the fitness
+function — travels once per worker inside a :class:`WorkerContext` via
+the pool initializer.  The :class:`~repro.graph.csr.CompiledGraph` is
+three int32 numpy arrays that pickle as raw buffers.  Tasks arrive in
+label space (the scheduler's language), are translated to dense ids at
+the worker boundary, and results are translated back, so everything
+outside the kernel — the scheduler, the reducer, dedup, covers — works
+in labels.
 
 The task index doubles as the fold order, so results are mergeable no
 matter which worker computed them or when they arrived.
@@ -25,11 +24,10 @@ matter which worker computed them or when they arrived.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Hashable, List, Optional, Sequence
 
 from ..core.fitness import FitnessFunction
 from ..core.growth import grow_community
-from ..graph import Graph
 from ..graph.csr import CompiledGraph
 from ..graph.shm import ShmGraphDescriptor
 
@@ -39,7 +37,6 @@ __all__ = [
     "WorkerContext",
     "execute_growth_task",
     "initialize_worker",
-    "execute_in_worker",
     "execute_batch_in_worker",
 ]
 
@@ -78,9 +75,9 @@ class GrowthTask:
 class GrowthTaskResult:
     """What one local search produced, tagged for ordered reduction.
 
-    ``members`` is in label space regardless of the representation the
-    worker ran on — the id <-> label translation happens entirely inside
-    :func:`execute_growth_task`, so the reducer never sees ids.
+    ``members`` is in label space — the id <-> label translation happens
+    entirely inside :func:`execute_growth_task`, so the reducer never
+    sees ids.
     """
 
     index: int
@@ -96,32 +93,23 @@ class WorkerContext:
     """Shared read-only state a worker needs to execute any growth task.
 
     Shipped once per worker (pool initializer), not once per task; must
-    therefore stay picklable for the process backend.  Exactly one of
-    ``graph`` / ``compiled`` is set:
+    therefore stay picklable for the process backend.  ``compiled`` is
+    the immutable :class:`~repro.graph.csr.CompiledGraph`; ids are their
+    own tie-break ranks.
 
-    ``graph`` (dict representation)
-        The label-keyed :class:`~repro.graph.Graph`, plus ``rank`` — the
-        shared node -> insertion-rank map the greedy tie-breaking uses
-        (computed once in the driver instead of once per task).
-    ``compiled`` (csr representation)
-        The immutable :class:`~repro.graph.csr.CompiledGraph`; ids are
-        their own ranks, so no rank map travels.
-
-    ``shipped`` upgrades the csr case to zero-copy: when the engine has
+    ``shipped`` upgrades the shipping to zero-copy: when the engine has
     exported the compiled arrays into shared memory
     (:mod:`repro.graph.shm`), the descriptor rides here and pickling the
     context *drops* the arrays — a worker that unpickles it re-attaches
     to the named segments in O(1) instead of deserialising buffers.
-    In-process delivery (serial/thread backends, fork-inherited
-    initargs) never pickles the context, so it keeps the driver's
+    In-process delivery (the serial backend, fork-inherited initargs)
+    never pickles the context, so it keeps the driver's
     compiled object untouched.
     """
 
     fitness: FitnessFunction
     max_growth_steps: Optional[int]
-    graph: Optional[Graph] = None
-    compiled: Optional[CompiledGraph] = None
-    rank: Optional[Dict[Node, int]] = None
+    compiled: Optional[CompiledGraph]
     shipped: Optional[ShmGraphDescriptor] = None
 
     def __getstate__(self):
@@ -143,28 +131,15 @@ class WorkerContext:
 
 def execute_growth_task(context: WorkerContext, task: GrowthTask) -> GrowthTaskResult:
     """Run one greedy climb; a pure function of ``(context, task)``."""
-    if context.compiled is not None:
-        compiled = context.compiled
-        growth = grow_community(
-            compiled,
-            compiled.ids_of(task.initial_members),
-            context.fitness,
-            max_steps=context.max_growth_steps,
-            seed=task.rng_seed,
-        )
-        members = frozenset(compiled.labels_of(growth.members))
-    else:
-        if context.graph is None:
-            raise RuntimeError("worker context carries neither graph form")
-        growth = grow_community(
-            context.graph,
-            task.initial_members,
-            context.fitness,
-            max_steps=context.max_growth_steps,
-            seed=task.rng_seed,
-            rank=context.rank,
-        )
-        members = growth.members
+    compiled = context.compiled
+    growth = grow_community(
+        compiled,
+        compiled.ids_of(task.initial_members),
+        context.fitness,
+        max_steps=context.max_growth_steps,
+        seed=task.rng_seed,
+    )
+    members = frozenset(compiled.labels_of(growth.members))
     return GrowthTaskResult(
         index=task.index,
         seed_node=task.seed_node,
@@ -187,16 +162,6 @@ def initialize_worker(context: WorkerContext) -> None:
     """Pool initializer: install the shared context in this worker."""
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = context
-
-
-def execute_in_worker(task: GrowthTask) -> GrowthTaskResult:
-    """Module-level task entry point for process pools."""
-    if _WORKER_CONTEXT is None:
-        raise RuntimeError(
-            "worker context not initialised; the backend must call "
-            "initialize_worker before dispatching tasks"
-        )
-    return execute_growth_task(_WORKER_CONTEXT, task)
 
 
 def execute_batch_in_worker(tasks: Sequence[GrowthTask]) -> List[GrowthTaskResult]:

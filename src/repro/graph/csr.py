@@ -9,10 +9,10 @@ row (CSR) layout plus a label↔dense-id mapping — on which the greedy
 search runs entirely in integer-id space with vectorised neighbourhood
 updates.
 
-Why a second representation
----------------------------
-* **Hot-path speed.**  The dict-of-sets substrate pays a hash lookup and
-  a pointer chase per neighbour per greedy event.  The CSR arrays turn a
+Why compile
+-----------
+* **Hot-path speed.**  A dict-of-sets graph pays a hash lookup and a
+  pointer chase per neighbour per greedy event.  The CSR arrays turn a
   whole neighbourhood update into a handful of numpy fancy-indexing
   operations (see :class:`~repro.core.state.ArrayCommunityState`).
 * **Compact worker shipping.**  A pickled dict-of-sets graph is large
@@ -20,8 +20,8 @@ Why a second representation
   process backend ships a fraction of the bytes, once per worker,
   through the pool initializer.
 * **Determinism.**  Dense ids are insertion ranks, a canonical total
-  order shared with the dict path's rank-based tie-breaking, so covers
-  are bit-identical between representations.
+  order the kernels break ties by, so covers never depend on Python's
+  set iteration order.
 
 The compiled form is **immutable**: it is built once per graph (cached
 on the :class:`Graph` instance and invalidated by any mutation) and
@@ -71,10 +71,7 @@ class GraphBackend(Protocol):
     """The read-only protocol the OCA hot path needs from a graph.
 
     Both the mutable :class:`~repro.graph.Graph` (label-keyed) and the
-    immutable :class:`CompiledGraph` (dense-id-keyed) satisfy it; the
-    greedy kernels in :mod:`repro.core` are written against this surface
-    only, so a representation is an implementation detail selected by
-    configuration, never a semantic choice.
+    immutable :class:`CompiledGraph` (dense-id-keyed) satisfy it.
     """
 
     def number_of_nodes(self) -> int:
@@ -328,8 +325,8 @@ class CompiledGraph:
     def neighbor_sets(self) -> List[Set[int]]:
         """Materialise every row as a Python int set (O(n + 2m)).
 
-        The bridge for set-based algorithms (e.g. Bron–Kerbosch's dict
-        path) running on a compiled graph: one pass over the CSR arrays
+        The bridge for set-based algorithms (e.g. Bron–Kerbosch)
+        running on a compiled graph: one pass over the CSR arrays
         instead of per-node ``neighbors()`` calls and conversions.  Not
         cached — callers that need it across calls should keep the list.
         """

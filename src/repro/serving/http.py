@@ -92,6 +92,7 @@ from urllib.parse import parse_qs
 
 from ..errors import ConfigurationError, QueueFull, ServingError
 from ..observability import NULL_EVENT_LOG, MetricsRegistry, SamplingProfiler
+from .server import stop_loop_thread
 from .service import ServingService, error_response
 
 __all__ = ["HttpServer", "HttpHandle", "start_http_thread"]
@@ -792,16 +793,7 @@ class HttpHandle:
 
     def stop(self, timeout: float = 30.0) -> None:
         """Stop the server, join its thread, close the owned service."""
-        if self._thread.is_alive():
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    self.server.stop(), self._loop
-                ).result(timeout=timeout)
-            except (CancelledError, RuntimeError):
-                # The server was already stopped out-of-band and its
-                # loop is tearing down; there is nothing left to stop.
-                pass
-            self._thread.join(timeout=timeout)
+        stop_loop_thread(self.server, self._loop, self._thread, timeout)
         self.server.close()
 
     def __enter__(self) -> "HttpHandle":

@@ -30,7 +30,13 @@ classic bounded request queue in front of the manager:
   parallelism, keeps the session hot and MRU for the entire group, and
   frees the other workers for other graphs.  Every member keeps its own
   future, deadline check, and trace; the group only shares the session
-  locality (and a ``coalesce_batch`` trace mark).
+  locality (and a ``coalesce_batch`` trace mark);
+* taking is serialised across workers — dequeue, fingerprint, claim —
+  and, with coalescing on, a worker that takes a request whose
+  fingerprint another worker is serving hands it to that worker instead
+  of dispatching it, so same-fingerprint requests reach the manager in
+  submission order (the first one binds the session) however the
+  workers race.
 
 Determinism is inherited, not re-proven: each request is served by a
 plain ``manager.detect`` call, so the cover for (graph, algorithm,
@@ -76,7 +82,7 @@ def _request_fields(request: "ServeRequest") -> Dict[str, Any]:
         "algorithm": request.algorithm,
     }
 
-#: Carry-slot marker: "no dequeued item is waiting to be processed".
+#: "No dequeued item is waiting to be taken."
 _EMPTY = object()
 
 
@@ -355,6 +361,11 @@ class ServingQueue:
         # after every dequeue and close() wakes everyone so nobody is
         # left waiting on a queue that will never drain for them.
         self._space = threading.Condition(self._lock)
+        # Held from dequeue to claim, so claims follow submission order.
+        self._take = threading.Lock()
+        # Fingerprint -> requests handed to the worker serving it.
+        self._serving: Dict[str, list] = {}
+        self._serving_lock = threading.Lock()
         self._closed = False
         self._metrics = _QueueMetrics(self.registry)
         self._metrics.depth.set_function(self._queue.qsize)
@@ -553,43 +564,91 @@ class ServingQueue:
             return None
 
     def _worker_loop(self) -> None:
-        # The carry slot holds one already-dequeued item that broke a
-        # coalescing run (different fingerprint, or the sentinel); it is
-        # processed first on the next iteration, before blocking on the
-        # queue again.  Every get() is paired with exactly one
-        # task_done() — fired when the item is actually served (or, for
-        # a carried item, on the iteration that consumes it).
-        carry = _EMPTY
+        # Taking — dequeue, fingerprint, coalesce, claim — happens under
+        # one lock, so claims follow submission order.  Everything taken
+        # is claimed or handed over before the lock is released (an item
+        # left over from a coalescing run is taken in the same hold), so
+        # no dequeued item ever waits on the lock.  Every get() is
+        # paired with exactly one task_done(), fired when the item is
+        # served (or, for the sentinel, when it is taken).
         while True:
-            if carry is not _EMPTY:
-                item, carry = carry, _EMPTY
-            else:
+            claimed = []
+            stop = False
+            with self._take:
                 item = self._queue.get()
                 # A dequeue is a space event: wake one blocked submitter.
                 with self._space:
                     self._space.notify()
-            if item is _SENTINEL:
-                self._queue.task_done()
+                while item is not _EMPTY:
+                    if item is _SENTINEL:
+                        self._queue.task_done()
+                        stop = True
+                        break
+                    key, group, item = self._take_group(item)
+                    if key is None or self._claim(key, group):
+                        claimed.append((key, group))
+            for _, group in claimed:
+                self._serve_group(group)
+            # Serve what other workers handed over meanwhile, round-robin
+            # over the claimed fingerprints, until none has any left.
+            keys = [key for key, _ in claimed if key is not None]
+            while keys:
+                for key in list(keys):
+                    handed = self._release_or_take(key)
+                    if handed:
+                        self._serve_group(handed)
+                    else:
+                        keys.remove(key)
+            if stop:
                 return
-            group = [item]
-            if self.coalesce > 1:
-                key = self._fingerprint_of(item)
-                while key is not None and len(group) < self.coalesce:
-                    try:
-                        extra = self._queue.get_nowait()
-                    except _queue.Empty:
-                        break
-                    with self._space:
-                        self._space.notify()
-                    if extra is _SENTINEL or self._fingerprint_of(extra) != key:
-                        carry = extra
-                        break
-                    group.append(extra)
-            if len(group) > 1:
-                self._metrics.coalesced.inc(len(group) - 1)
-            self._metrics.coalesce_batch.observe(len(group))
-            for member in group:
-                self._serve_one(member, len(group))
+
+    def _take_group(self, item):
+        """``(key, group, next)``: ``item`` plus the queued requests that
+        share its fingerprint (up to ``coalesce``), and the dequeued item
+        that broke the run (``_EMPTY`` when none did)."""
+        group = [item]
+        if self.coalesce == 1:
+            return None, group, _EMPTY
+        key = self._fingerprint_of(item)
+        while key is not None and len(group) < self.coalesce:
+            try:
+                extra = self._queue.get_nowait()
+            except _queue.Empty:
+                break
+            with self._space:
+                self._space.notify()
+            if extra is _SENTINEL or self._fingerprint_of(extra) != key:
+                return key, group, extra
+            group.append(extra)
+        return key, group, _EMPTY
+
+    def _claim(self, key: str, group: list) -> bool:
+        """Claim ``key`` for this worker, or hand ``group`` to its owner."""
+        with self._serving_lock:
+            handed = self._serving.get(key)
+            if handed is not None:
+                handed.extend(group)
+                return False
+            self._serving[key] = []
+            return True
+
+    def _release_or_take(self, key: str) -> list:
+        """The requests handed over for ``key`` meanwhile; when there are
+        none, release the claim and return an empty list."""
+        with self._serving_lock:
+            handed = self._serving[key]
+            if handed:
+                self._serving[key] = []
+            else:
+                del self._serving[key]
+            return handed
+
+    def _serve_group(self, group: list) -> None:
+        if len(group) > 1:
+            self._metrics.coalesced.inc(len(group) - 1)
+        self._metrics.coalesce_batch.observe(len(group))
+        for member in group:
+            self._serve_one(member, len(group))
 
     def _serve_one(self, item, group_size: int) -> None:
         """Dispatch one dequeued request and resolve its future.

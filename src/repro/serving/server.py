@@ -668,11 +668,7 @@ class ServerHandle:
 
     def stop(self, timeout: float = 30.0) -> None:
         """Stop the server, join its thread, close the owned service."""
-        if self._thread.is_alive():
-            asyncio.run_coroutine_threadsafe(
-                self.server.stop(), self._loop
-            ).result(timeout=timeout)
-            self._thread.join(timeout=timeout)
+        stop_loop_thread(self.server, self._loop, self._thread, timeout)
         self.server.close()
 
     def __enter__(self) -> "ServerHandle":
@@ -680,6 +676,37 @@ class ServerHandle:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+def stop_loop_thread(
+    server: Any,
+    loop: asyncio.AbstractEventLoop,
+    thread: threading.Thread,
+    timeout: float,
+) -> None:
+    """Stop a front-end server running on its own loop thread, and join it.
+
+    The thread ends exactly when the server has stopped (its main
+    coroutine awaits ``wait_stopped``), so this waits for the *thread*,
+    never for a coroutine scheduled onto the loop: after an out-of-band
+    ``server.stop()`` that loop may already be tearing down and would
+    never run it.  A server that is already stopping is only joined.
+    Raises what the scheduled ``stop()`` raised, or
+    :class:`ServingError` if the thread outlives ``timeout``.
+    """
+    if not thread.is_alive():
+        return
+    future = None
+    if not server._stopping:
+        try:
+            future = asyncio.run_coroutine_threadsafe(server.stop(), loop)
+        except RuntimeError:
+            pass  # the loop closed: an out-of-band stop got there first
+    thread.join(timeout=timeout)
+    if future is not None and future.done() and not future.cancelled():
+        future.result()  # re-raises a failure inside stop()
+    if thread.is_alive():
+        raise ServingError(f"server thread did not stop within {timeout}s")
 
 
 def start_server_thread(

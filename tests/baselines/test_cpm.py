@@ -2,11 +2,20 @@
 
 import pytest
 
-from repro.baselines import cfinder, clique_percolation
+from repro import DetectionRequest, get_detector
+from repro.baselines import clique_percolation
 from repro.communities import Cover
 from repro.errors import ConfigurationError
 from repro.generators import complete_graph, cycle_graph, ring_of_cliques
 from repro.graph import Graph
+
+from .. import oracles
+
+
+def cfinder(graph, **params):
+    """The registered CFinder detector's cover on ``graph``."""
+    request = DetectionRequest(graph=graph, params=params)
+    return get_detector("cfinder").detect(request).cover
 
 
 def test_single_clique_is_one_community():
@@ -58,14 +67,16 @@ def test_k_validated():
         clique_percolation(Graph(), k=1)
 
 
-def test_faithful_and_indexed_agree():
+@pytest.mark.parametrize("faithful_overlap", [True, False])
+def test_matches_union_find_oracle(faithful_overlap):
     g, _ = ring_of_cliques(5, 5)
-    faithful = clique_percolation(g, k=3, faithful_overlap=True).cover
-    indexed = clique_percolation(g, k=3, faithful_overlap=False).cover
-    assert faithful == indexed
+    g.add_edge(0, 7)
+    g.add_edge(1, 7)
+    expected = oracles.clique_percolation(g, k=3, faithful_overlap=faithful_overlap)
+    assert clique_percolation(g, k=3).cover == expected
 
 
-def test_cfinder_wrapper_returns_cover():
+def test_cfinder_detector_returns_cover():
     g, truth = ring_of_cliques(4, 5)
     assert cfinder(g, k=3) == truth
 

@@ -2,15 +2,28 @@
 
 import pytest
 
-from repro.baselines import lfk, natural_community
+from repro import DetectionRequest, get_detector
+from repro.baselines import natural_community
 from repro.communities import theta
 from repro.errors import ConfigurationError
 from repro.generators import (
+    LFRParams,
     complete_graph,
+    daisy_tree,
+    karate_club,
+    lfr_graph,
     ring_of_cliques,
     two_cliques_bridged,
 )
 from repro.graph import Graph
+
+from .. import oracles
+
+
+def lfk(graph, seed=None, **params):
+    """The registered LFK detector on ``graph``."""
+    request = DetectionRequest(graph=graph, seed=seed, params=params)
+    return get_detector("lfk").detect(request)
 
 
 def test_natural_community_of_clique_member():
@@ -70,13 +83,38 @@ def test_alpha_validated():
 def test_result_metadata():
     g, _ = ring_of_cliques(3, 5)
     result = lfk(g, seed=0)
-    assert result.alpha == 1.0
-    assert result.natural_communities >= 3
+    assert result.stats["alpha"] == 1.0
+    assert result.stats["natural_communities"] >= 3
     assert result.elapsed_seconds >= 0.0
-    assert "LFKResult" in repr(result)
 
 
 def test_isolated_node_becomes_singleton():
     g = Graph(edges=[(0, 1), (1, 2), (0, 2)], nodes=[9])
     result = lfk(g, seed=0)
     assert {9} in result.cover
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        ring_of_cliques(5, 6)[0],
+        two_cliques_bridged(7, 2)[0],
+        karate_club()[0],
+        daisy_tree(flowers=4, seed=3).graph,
+        lfr_graph(LFRParams(n=200, max_degree=20), seed=2).graph,
+    ],
+    ids=["ring", "bridged", "karate", "daisy", "lfr200"],
+)
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.3])
+def test_cover_matches_label_keyed_oracle(graph, alpha):
+    for seed in range(3):
+        expected = oracles.lfk(graph, alpha=alpha, seed=seed)
+        assert lfk(graph, seed=seed, alpha=alpha).cover == expected
+
+
+def test_natural_community_matches_oracle():
+    graph = karate_club()[0]
+    for node in graph.nodes():
+        assert natural_community(graph, node) == oracles.natural_community(
+            graph, node
+        )

@@ -4,16 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import DetectionRequest, get_detector
 from repro.baselines import (
     clique_percolation,
     greedy_modularity,
-    lfk,
     maximal_cliques,
     natural_community,
 )
 from repro.graph import Graph
 
+from .. import oracles
 from ..conftest import edge_lists
+
+
+def lfk_cover(graph, seed):
+    request = DetectionRequest(graph=graph, seed=seed)
+    return get_detector("lfk").detect(request).cover
 
 
 @settings(max_examples=30, deadline=None)
@@ -36,11 +42,11 @@ def test_cpm_communities_are_unions_of_k_cliques(edges, k):
 
 @settings(max_examples=30, deadline=None)
 @given(edges=edge_lists(max_nodes=10, max_edges=25))
-def test_cpm_faithful_and_indexed_always_agree(edges):
+def test_cpm_matches_faithful_and_indexed_oracles(edges):
     g = Graph(edges=edges)
-    faithful = clique_percolation(g, k=3, faithful_overlap=True).cover
-    indexed = clique_percolation(g, k=3, faithful_overlap=False).cover
-    assert faithful == indexed
+    cover = clique_percolation(g, k=3).cover
+    assert cover == oracles.clique_percolation(g, k=3, faithful_overlap=True)
+    assert cover == oracles.clique_percolation(g, k=3, faithful_overlap=False)
 
 
 @settings(max_examples=25, deadline=None)
@@ -49,9 +55,10 @@ def test_lfk_cover_is_total_and_deterministic(edges, seed):
     g = Graph(edges=edges)
     if g.number_of_nodes() == 0:
         return
-    result = lfk(g, seed=seed)
-    assert result.cover.covered_nodes() == set(g.nodes())
-    assert lfk(g, seed=seed).cover == result.cover
+    cover = lfk_cover(g, seed)
+    assert cover.covered_nodes() == set(g.nodes())
+    assert lfk_cover(g, seed) == cover
+    assert cover == oracles.lfk(g, seed=seed)
 
 
 @settings(max_examples=25, deadline=None)
@@ -60,7 +67,6 @@ def test_lfk_natural_community_is_local_optimum(edges):
     """No single removal improves the LFK fitness of a natural community
     (the addition side may admit zero-gain plateaus, which step A skips)."""
     from repro.core import LFKFitness
-    from repro.core.state import CommunityState
 
     g = Graph(edges=edges)
     if g.number_of_nodes() == 0:
@@ -68,7 +74,7 @@ def test_lfk_natural_community_is_local_optimum(edges):
     node = next(iter(g.nodes()))
     community = natural_community(g, node)
     fitness = LFKFitness(alpha=1.0)
-    state = CommunityState(g, community)
+    state = oracles.CommunityState(g, community)
     current = state.value(fitness)
     if state.size > 1:
         for member in list(state.members):

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import strategies as st
 
+from repro import DetectionRequest, get_detector
 from repro.graph import Graph
 from repro.generators import (
     complete_graph,
@@ -86,3 +89,32 @@ def node_subsets(graph: Graph, rng_seed: int = 0):
     for size in range(1, min(len(nodes), 5) + 1):
         subsets.append(set(rng.sample(nodes, size)))
     return subsets
+
+
+def detect(name: str, graph, seed=None, **params):
+    """One-shot detection through the registry (the test-suite shorthand)."""
+    request = DetectionRequest(graph=graph, seed=seed, params=params)
+    return get_detector(name).detect(request)
+
+
+@pytest.fixture
+def contention():
+    """Two pure-Python busy loops competing for the GIL, switched often."""
+    done = threading.Event()
+
+    def burn():
+        while not done.is_set():
+            sum(range(2000))
+
+    burners = [threading.Thread(target=burn, daemon=True) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for burner in burners:
+            burner.start()
+        yield
+    finally:
+        done.set()
+        for burner in burners:
+            burner.join(timeout=5.0)
+        sys.setswitchinterval(interval)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    CommunityState,
     DirectedLaplacianFitness,
     LFKFitness,
     PhiFitness,
@@ -19,6 +18,8 @@ from repro.generators import (
     two_cliques_bridged,
 )
 from repro.graph import Graph
+
+from ..oracles import CommunityState
 
 
 def fitness_for(graph):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro import OCA, OCAConfig, oca
+from repro import OCA, OCAConfig
 from repro.communities import theta
 from repro.core import MaxRunsHalting, StagnationHalting
-from repro.errors import AlgorithmError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.generators import (
     complete_graph,
     daisy_graph,
@@ -49,23 +49,23 @@ class TestConfig:
 
 class TestDriver:
     def test_empty_graph(self):
-        result = oca(Graph(), seed=0)
+        result = OCA().run(Graph(), seed=0)
         assert len(result.cover) == 0
         assert result.runs == 0
 
     def test_single_clique_found(self):
-        result = oca(complete_graph(6), seed=0)
+        result = OCA().run(complete_graph(6), seed=0)
         assert len(result.cover) == 1
         assert set(result.cover[0]) == set(range(6))
 
     def test_ring_of_cliques_exact(self):
         g, truth = ring_of_cliques(5, 6)
-        result = oca(g, seed=0)
+        result = OCA().run(g, seed=0)
         assert theta(truth, result.cover) == pytest.approx(1.0)
 
     def test_overlapping_cliques_exact(self):
         g, truth = two_cliques_bridged(6, 2)
-        result = oca(g, seed=1)
+        result = OCA().run(g, seed=1)
         assert theta(truth, result.cover) == pytest.approx(1.0)
         # The shared nodes must really appear in both communities.
         overlapping = result.cover.overlapping_nodes()
@@ -73,26 +73,26 @@ class TestDriver:
 
     def test_deterministic_given_seed(self):
         g, _ = ring_of_cliques(4, 5)
-        a = oca(g, seed=123)
-        b = oca(g, seed=123)
+        a = OCA().run(g, seed=123)
+        b = OCA().run(g, seed=123)
         assert a.cover == b.cover
         assert a.c == pytest.approx(b.c)
 
     def test_different_seeds_allowed_to_differ(self):
         g = daisy_graph(seed=5).graph
-        a = oca(g, seed=1)
-        b = oca(g, seed=2)
+        a = OCA().run(g, seed=1)
+        b = OCA().run(g, seed=2)
         # Not asserting inequality (they may coincide); just both valid.
         assert len(a.cover) >= 1 and len(b.cover) >= 1
 
     def test_fixed_c_skips_spectral(self):
         g, _ = ring_of_cliques(4, 5)
-        result = oca(g, seed=0, c=0.25)
+        result = OCA(OCAConfig(c=0.25)).run(g, seed=0)
         assert result.c == 0.25
 
     def test_min_community_size_filters(self):
         g = Graph(edges=[(0, 1)])
-        result = oca(g, seed=0, min_community_size=3)
+        result = OCA(OCAConfig(min_community_size=3)).run(g, seed=0)
         assert len(result.cover) == 0
         assert result.discarded_small >= 1
 
@@ -104,31 +104,27 @@ class TestDriver:
 
     def test_assign_orphans_covers_graph(self):
         g, _ = ring_of_cliques(4, 5)
-        result = oca(g, seed=0, assign_orphans=True)
+        result = OCA(OCAConfig(assign_orphans=True)).run(g, seed=0)
         assert result.cover.covered_nodes() == set(g.nodes())
 
     def test_raw_cover_kept_alongside_merged(self):
         g = daisy_graph(seed=3).graph
-        result = oca(g, seed=3)
+        result = OCA().run(g, seed=3)
         assert len(result.raw_cover) >= len(result.cover)
 
     def test_fitness_values_align_with_raw_cover(self):
         g, _ = ring_of_cliques(4, 5)
-        result = oca(g, seed=0)
+        result = OCA().run(g, seed=0)
         assert len(result.fitness_values) == len(result.raw_cover)
         assert all(v > 0 for v in result.fitness_values)
 
     def test_elapsed_seconds_positive(self):
         g, _ = ring_of_cliques(3, 4)
-        assert oca(g, seed=0).elapsed_seconds > 0
-
-    def test_config_and_overrides_conflict(self):
-        with pytest.raises(AlgorithmError):
-            oca(Graph(), config=OCAConfig(), merge_threshold=0.5)
+        assert OCA().run(g, seed=0).elapsed_seconds > 0
 
     def test_repr(self):
         g, _ = ring_of_cliques(3, 4)
-        assert "OCAResult" in repr(oca(g, seed=0))
+        assert "OCAResult" in repr(OCA().run(g, seed=0))
 
     def test_custom_fitness_override(self):
         """Swapping in phi makes the driver engulf whole components —
@@ -156,18 +152,18 @@ class TestQualityBenchmarks:
 
     def test_daisy_flower_recovered(self):
         instance = daisy_graph(seed=7)
-        result = oca(instance.graph, seed=7)
+        result = OCA().run(instance.graph, seed=7)
         assert theta(instance.communities, result.cover) >= 0.75
 
     def test_lfr_low_mixing_recovered(self):
         from repro.generators import LFRParams, lfr_graph
 
         instance = lfr_graph(LFRParams(n=300, mu=0.2), seed=5)
-        result = oca(instance.graph, seed=5, assign_orphans=True)
+        result = OCA(OCAConfig(assign_orphans=True)).run(instance.graph, seed=5)
         assert theta(instance.communities, result.cover) >= 0.8
 
     def test_karate_club_factions_overlap(self, karate):
         graph, truth = karate
-        result = oca(graph, seed=0, assign_orphans=True)
+        result = OCA(OCAConfig(assign_orphans=True)).run(graph, seed=0)
         # Factions are fuzzy; demand better-than-random agreement.
         assert theta(truth, result.cover) >= 0.3

@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 
 from repro.communities import Cover
 from repro.core import (
-    CommunityState,
+    OCA,
     DirectedLaplacianFitness,
     admissible_c,
     directed_laplacian_value,
     grow_community,
     merge_similar,
-    oca,
     phi_value,
 )
 from repro.graph import Graph
 
 from ..conftest import edge_lists
+from ..oracles import CommunityState
 
 
 @given(
@@ -66,7 +66,7 @@ def test_growth_reaches_local_maximum(edges):
 @given(edges=edge_lists(max_nodes=12, max_edges=30), seed=st.integers(0, 3))
 def test_oca_cover_is_wellformed(edges, seed):
     g = Graph(edges=edges)
-    result = oca(g, seed=seed)
+    result = OCA().run(g, seed=seed)
     covered = result.cover.covered_nodes()
     assert covered <= set(g.nodes())
     for community in result.cover:
@@ -80,7 +80,7 @@ def test_oca_cover_is_wellformed(edges, seed):
 @given(edges=edge_lists(max_nodes=12, max_edges=30), seed=st.integers(0, 3))
 def test_oca_deterministic_property(edges, seed):
     g = Graph(edges=edges)
-    assert oca(g, seed=seed).cover == oca(g, seed=seed).cover
+    assert OCA().run(g, seed=seed).cover == OCA().run(g, seed=seed).cover
 
 
 @settings(max_examples=40)

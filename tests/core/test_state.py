@@ -1,4 +1,4 @@
-"""Unit and property tests for CommunityState incremental tracking."""
+"""Unit and property tests for the CommunityState oracle's incremental tracking."""
 
 import random
 
@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DirectedLaplacianFitness
-from repro.core.state import BucketQueue, CommunityState
 from repro.errors import AlgorithmError, NodeNotFoundError
 from repro.generators import complete_graph, erdos_renyi, path_graph
 
-from ..conftest import edge_lists
 from repro.graph import Graph
+
+from ..conftest import edge_lists
+from ..oracles import BucketQueue, CommunityState
 
 
 class TestBucketQueue:

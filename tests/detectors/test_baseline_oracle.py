@@ -1,10 +1,12 @@
-"""Baseline representation matrix (ISSUE 10).
+"""Baseline detectors vs the label-keyed oracles, across every entry point.
 
-The CSR-native baseline contract: every baseline detector returns covers
-**byte-identical** across ``representation={dict, csr}`` — on int- and
-str-labelled graphs, one-shot, through a warm :class:`GraphSession`, and
-served from a store-loaded session — and the csr path never touches the
-dict :class:`~repro.graph.Graph` adjacency.
+Every baseline detector runs on the compiled CSR arrays only.  Its cover
+must equal the dict-and-set reference of ``tests/oracles.py`` (LFK and
+k-clique percolation; CNM against its own direct call) — on int- and
+str-labelled graphs, one-shot on either graph form, through a warm
+:class:`GraphSession`, and served from a store-loaded session — and the
+detectors never touch the dict :class:`~repro.graph.Graph` adjacency
+once the graph is compiled.
 """
 
 import pytest
@@ -18,8 +20,10 @@ from repro import (
     compile_graph,
     get_detector,
 )
-from repro.errors import ConfigurationError
+from repro.baselines import greedy_modularity
 from repro.generators import ring_of_cliques
+
+from .. import oracles
 
 BASELINES = ("lfk", "cfinder", "cpm", "modularity_greedy")
 ALL_DETECTORS = ("oca",) + BASELINES
@@ -48,91 +52,70 @@ def graph(request, int_graph, str_graph):
 
 
 @pytest.fixture(scope="module")
-def dict_covers(graph):
-    """Reference covers from the forced label-keyed path."""
-    covers = {}
-    for name in BASELINES:
-        result = get_detector(name).detect(
-            DetectionRequest(graph=graph, seed=SEED, representation="dict")
-        )
-        assert result.stats["representation"] == "dict"
-        covers[name] = result.cover
-    return covers
+def oracle_covers(graph):
+    """Reference covers from the label-keyed oracles."""
+    percolation = oracles.clique_percolation(graph, k=3)
+    return {
+        "lfk": oracles.lfk(graph, seed=SEED),
+        "cfinder": percolation,
+        "cpm": percolation,
+        "modularity_greedy": greedy_modularity(graph).partition,
+    }
 
 
 @pytest.mark.parametrize("name", BASELINES)
-class TestRepresentationMatrix:
-    def test_one_shot_csr(self, graph, dict_covers, name):
-        result = get_detector(name).detect(
-            DetectionRequest(graph=graph, seed=SEED, representation="csr")
-        )
-        assert result.stats["representation"] == "csr"
-        assert result.cover == dict_covers[name]
-
-    def test_auto_resolves_to_csr(self, graph, dict_covers, name):
+class TestOracleMatrix:
+    def test_one_shot(self, graph, oracle_covers, name):
         result = get_detector(name).detect(
             DetectionRequest(graph=graph, seed=SEED)
         )
-        assert result.stats["representation"] == "csr"
-        assert result.cover == dict_covers[name]
+        assert result.cover == oracle_covers[name]
 
-    def test_one_shot_csr_on_compiled_graph(self, graph, dict_covers, name):
+    def test_one_shot_on_compiled_graph(self, graph, oracle_covers, name):
         result = get_detector(name).detect(
-            DetectionRequest(
-                graph=compile_graph(graph), seed=SEED, representation="csr"
-            )
+            DetectionRequest(graph=compile_graph(graph), seed=SEED)
         )
         # Compiled input must come back in the original label space.
-        assert result.cover == dict_covers[name]
+        assert result.cover == oracle_covers[name]
 
-    @pytest.mark.parametrize("representation", ["dict", "csr"])
-    def test_warm_session(self, graph, dict_covers, name, representation):
-        with GraphSession(graph, representation=representation) as session:
+    def test_warm_session(self, graph, oracle_covers, name):
+        with GraphSession(graph) as session:
             session.detect(name, seed=SEED + 1)  # warm every cache
             result = session.detect(name, seed=SEED)
-        assert result.stats["representation"] == representation
-        assert result.cover == dict_covers[name]
+        assert result.cover == oracle_covers[name]
 
-    @pytest.mark.parametrize("representation", ["dict", "csr"])
-    def test_store_loaded_session(
-        self, graph, dict_covers, name, representation, tmp_path
-    ):
+    def test_store_loaded_session(self, graph, oracle_covers, name, tmp_path):
         store = GraphStore(tmp_path / "store")
         with SessionManager(max_sessions=1, store=store) as manager:
             manager.detect(graph, name, seed=SEED)  # compile + save
             fingerprint = manager.fingerprint(graph)
         # Fresh manager over the same directory: the restart.
         with SessionManager(
-            max_sessions=1,
-            store=GraphStore(tmp_path / "store"),
-            representation=representation,
+            max_sessions=1, store=GraphStore(tmp_path / "store")
         ) as manager:
             result = manager.detect(fingerprint, name, seed=SEED)
         assert result.stats["session_source"] == "store"
-        assert result.stats["representation"] == representation
-        assert result.cover == dict_covers[name]
+        assert result.cover == oracle_covers[name]
 
-    def test_unknown_representation_rejected(self, graph, dict_covers, name):
-        with pytest.raises(ConfigurationError, match="representation"):
-            get_detector(name).detect(
-                DetectionRequest(graph=graph, representation="sparse")
-            )
+
+def test_representation_option_is_gone():
+    with pytest.raises(TypeError):
+        DetectionRequest(graph=Graph(), representation="dict")
 
 
 def test_csr_path_never_reads_dict_adjacency(int_graph, monkeypatch):
-    """Monkeypatch-proof: with the graph pre-compiled, the csr path of
-    every baseline runs without a single ``Graph.neighbors`` call."""
+    """Monkeypatch-proof: with the graph pre-compiled, every baseline
+    runs without a single ``Graph.neighbors`` call."""
     compile_graph(int_graph)  # prime the cache (compilation reads neighbors)
 
     def no_neighbors(self, node):
-        raise AssertionError("Graph.neighbors ran on the csr path")
+        raise AssertionError("Graph.neighbors ran after compilation")
 
     monkeypatch.setattr(Graph, "neighbors", no_neighbors)
     for name in BASELINES:
         result = get_detector(name).detect(
-            DetectionRequest(graph=int_graph, seed=SEED, representation="csr")
+            DetectionRequest(graph=int_graph, seed=SEED)
         )
-        assert result.stats["representation"] == "csr"
         assert len(result.cover) > 0
 
 
@@ -172,8 +155,6 @@ def test_serving_annotates_session_source_for_all_five_detectors(int_graph):
             result = manager.detect(int_graph, name, seed=SEED)
             expected = "compiled" if index == 0 else "warm"
             assert result.stats["session_source"] == expected
-            if name in BASELINES:
-                assert result.stats["representation"] == "csr"
 
 
 def test_modularity_greedy_returns_a_partition(int_graph):

@@ -127,19 +127,7 @@ class TestUniformContract:
             )
 
 
-class TestCompatWrappers:
-    def test_legacy_wrappers_warn(self, ring):
-        from repro import cfinder, lfk, oca
-
-        g, _ = ring
-        for wrapper in (
-            lambda: oca(g, seed=0),
-            lambda: lfk(g, seed=0),
-            lambda: cfinder(g),
-        ):
-            with pytest.deprecated_call():
-                wrapper()
-
+class TestWarningFree:
     def test_registry_path_is_warning_free(self, ring):
         import warnings
 

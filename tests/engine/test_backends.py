@@ -5,7 +5,6 @@ import pytest
 from repro.engine.backends import (
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     make_backend,
     register_backend,
@@ -32,24 +31,6 @@ class TestSerialBackend:
         assert SerialBackend().map_ordered(_square, []) == []
 
 
-class TestThreadBackend:
-    def test_map_ordered_preserves_order(self):
-        with ThreadBackend(4) as backend:
-            assert backend.map_ordered(_square, list(range(50))) == [
-                x * x for x in range(50)
-            ]
-
-    def test_close_idempotent(self):
-        backend = ThreadBackend(2)
-        backend.map_ordered(_square, [1])
-        backend.close()
-        backend.close()
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ConfigurationError):
-            ThreadBackend(0)
-
-
 class TestProcessBackend:
     def test_map_ordered_preserves_order(self):
         with ProcessBackend(2) as backend:
@@ -57,9 +38,18 @@ class TestProcessBackend:
                 x * x for x in range(20)
             ]
 
+    def test_close_idempotent(self):
+        backend = ProcessBackend(2)
+        backend.map_ordered(_square, [1])
+        backend.close()
+        backend.close()
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ConfigurationError):
+            ProcessBackend(0)
+
     def test_uses_processes_flag(self):
         assert ProcessBackend(2).uses_processes
-        assert not ThreadBackend(2).uses_processes
         assert not SerialBackend().uses_processes
 
 
@@ -67,20 +57,25 @@ class TestFactory:
     def test_auto_resolution(self):
         assert resolve_backend_name("auto", 1) == "serial"
         assert resolve_backend_name("auto", 4) == "process"
-        assert resolve_backend_name("thread", 1) == "thread"
+        assert resolve_backend_name("process", 1) == "process"
 
     def test_make_backend_names(self):
         assert make_backend("serial").name == "serial"
-        assert make_backend("thread", 2).name == "thread"
+        assert make_backend("process", 2).name == "process"
         assert make_backend("auto", 1).name == "serial"
 
     def test_zero_workers_means_cpu_count(self):
-        backend = make_backend("thread", 0)
+        backend = make_backend("process", 0)
         assert backend.workers >= 1
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
             make_backend("quantum", 2)
+
+    def test_thread_backend_is_gone(self):
+        assert "thread" not in available_backends()
+        with pytest.raises(ConfigurationError):
+            make_backend("thread", 2)
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.engine import BatchScheduler, CoverReducer, ExecutionEngine
 from repro.engine.tasks import GrowthTaskResult
+from repro import OCA, OCAConfig
 from repro.errors import ConfigurationError
 from repro.generators import ring_of_cliques, two_cliques_bridged
 
@@ -198,11 +199,11 @@ class TestStalenessGuard:
         """The guard keeps batched covers faithful on overlap instances:
         without it, a speculative task seeded inside an already-found
         clique can grow the two-clique union and wreck the cover."""
-        from repro import oca
         from repro.communities import theta
 
         g, truth = two_cliques_bridged(6, 2)
-        result = oca(g, seed=1, workers=2, backend="thread", batch_size=16)
+        config = OCAConfig(workers=2, backend="process", batch_size=16)
+        result = OCA(config).run(g, seed=1)
         assert theta(truth, result.cover) == pytest.approx(1.0)
 
     def test_progress_callback_invoked(self):

@@ -51,10 +51,6 @@ class TestShippingModes:
         with pytest.raises(ConfigurationError, match="shipping"):
             OCAConfig(shipping="carrier-pigeon")
 
-    def test_shm_requires_a_compiled_graph(self):
-        with pytest.raises(ConfigurationError, match="representation"):
-            OCAConfig(shipping="shm", representation="dict")
-
     def test_serial_backend_ships_inline(self, graph):
         result = _cover(graph, "auto", 1, backend="serial", workers=1)
         assert result.engine_stats.shipping == "inline"

@@ -53,7 +53,7 @@ def test_engine_options_forwarded(ring):
     g, _ = ring
     sequential = run_algorithm("OCA", g, seed=77)
     parallel = run_algorithm(
-        "OCA", g, seed=77, workers=4, backend="thread", batch_size=1
+        "OCA", g, seed=77, workers=2, backend="process", batch_size=1
     )
     assert parallel.cover == sequential.cover
 
@@ -68,13 +68,9 @@ class TestRunReplicates:
     def test_identical_across_worker_counts(self, ring):
         g, _ = ring
         serial = run_replicates("OCA", g, replicates=4, seed=5)
-        threaded = run_replicates(
-            "OCA", g, replicates=4, seed=5, workers=4, backend="thread"
-        )
         fanned = run_replicates(
             "OCA", g, replicates=4, seed=5, workers=2, backend="process"
         )
-        assert [r.cover for r in threaded] == [r.cover for r in serial]
         assert [r.cover for r in fanned] == [r.cover for r in serial]
 
     def test_replicates_use_private_stream_seeds(self, ring):
@@ -140,8 +136,7 @@ class TestRunSweep:
             replicates=1,
             seed=4,
             workers=2,
-            backend="thread",
-            representation="dict",
+            backend="process",
         )
         assert [runs[0].cover for runs in tuned] == [
             runs[0].cover for runs in default

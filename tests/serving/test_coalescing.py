@@ -230,3 +230,29 @@ class TestShutdown:
         text = queue.registry.render()
         assert "repro_queue_coalesced_total 2" in text
         assert "repro_queue_coalesce_batch_bucket" in text
+
+
+class TestCrossWorkerOrdering:
+    def test_same_fingerprint_dispatch_follows_submission_order(self, contention):
+        """With several workers, a later request never reaches the manager
+        before an earlier one with the same fingerprint: here an inline
+        graph the queue must hash first, then the same graph by its
+        fingerprint string, which needs no hashing at all."""
+        from repro.serving import graph_fingerprint
+
+        fingerprint = graph_fingerprint(ring_of_cliques(300, 8)[0])
+        for _ in range(10):
+            manager = _RecordingManager()
+            queue = ServingQueue(manager, workers=2, max_depth=16)
+            try:
+                inline = ring_of_cliques(300, 8)[0]
+                futures = [
+                    queue.submit(ServeRequest(graph=inline)),
+                    queue.submit(ServeRequest(graph=fingerprint)),
+                ]
+                for future in futures:
+                    future.result(timeout=30)
+                assert manager.calls[0] is inline
+                assert manager.calls[1] == fingerprint
+            finally:
+                queue.close()

@@ -47,25 +47,13 @@ def test_detect_raw_mode(graph_file, capsys):
     assert main(["detect", str(graph_file), "--raw", "--seed", "0"]) == 0
 
 
-@pytest.mark.parametrize("representation", ["auto", "dict", "csr"])
-def test_detect_representation_flag(graph_file, capsys, representation):
-    code = main(
-        ["detect", str(graph_file), "--seed", "0",
-         "--representation", representation]
-    )
-    assert code == 0
-    assert capsys.readouterr().out.strip()
-
-
-def test_detect_representations_emit_identical_covers(graph_file, capsys):
-    outputs = {}
-    for representation in ("dict", "csr"):
-        assert main(
-            ["detect", str(graph_file), "--seed", "0",
-             "--representation", representation]
-        ) == 0
-        outputs[representation] = capsys.readouterr().out
-    assert outputs["dict"] == outputs["csr"]
+@pytest.mark.parametrize(
+    "flags", [["--representation", "dict"], ["--backend", "thread"]]
+)
+def test_detect_rejects_removed_options(graph_file, capsys, flags):
+    with pytest.raises(SystemExit):
+        main(["detect", str(graph_file), "--seed", "0", *flags])
+    assert flags[0] in capsys.readouterr().err
 
 
 def test_detect_shipping_modes_emit_identical_covers(graph_file, capsys):
